@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.catalyst.util.TypeUtils
 import org.apache.spark.sql.types.DataType
 
@@ -12,7 +13,10 @@ import org.apache.spark.sql.types.DataType
   *
   * Tuples are represented as `Array[Any]` of the evaluated skyline-dimension
   * values (internal Catalyst values: Int, Long, Double, UTF8String, Decimal,
-  * …), in the same order as `dims`.
+  * …), in the same order as `dims`. The operators use it through
+  * [[GenericKeys]] for dimension types without a `long` key (see
+  * [[SkylineKeys]]); it is also the oracle the encoded keys are tested
+  * against.
   *
   * Two modes (Definition 3.1 and its incomplete variant from §3):
   *  - complete: all DIFF dims equal, at least as good in all MIN/MAX dims,
@@ -24,12 +28,14 @@ import org.apache.spark.sql.types.DataType
   *    mutually non-null dimension. Transitivity is lost in this mode.
   */
 final class DominanceChecker(
-    types: Array[DataType],
+    val types: Array[DataType],
     dirs: Array[Direction],
     val incomplete: Boolean)
     extends Serializable {
 
   require(types.length == dirs.length)
+  require(!incomplete || types.length <= KeyStore.MaxMaskDimensions,
+    DominanceChecker.tooManyIncompleteDimensions(types.length))
 
   // Rebuilt lazily on each executor: DataType is always serializable, the
   // interpreted orderings need not be.
@@ -99,6 +105,34 @@ final class DominanceChecker(
     strict
   }
 
+  /** Both dominance directions and the exact tie of [[equalOnDims]] in one
+    * pass: `KeyStore.Equal`, `FirstDominates` (a dominates b),
+    * `SecondDominates` (b dominates a) or `Neither`. The kernels use this;
+    * [[dominates]] stays the definition it is tested against.
+    */
+  def relate(a: Array[Any], b: Array[Any]): Int = {
+    var r = KeyStore.Equal
+    var nullsDiffer = false
+    var i = 0
+    while (i < arity) {
+      val av = a(i); val bv = b(i)
+      val c =
+        if (av != null && bv != null) orderings(i).compare(av, bv)
+        else if (incomplete) { nullsDiffer ||= (av == null) != (bv == null); 0 }
+        else cmp(i, av, bv)
+      if (c != 0) {
+        dirs(i) match {
+          case Direction.Min  => r |= (if (c < 0) KeyStore.FirstDominates else KeyStore.SecondDominates)
+          case Direction.Max  => r |= (if (c > 0) KeyStore.FirstDominates else KeyStore.SecondDominates)
+          case Direction.Diff => return KeyStore.Neither
+        }
+        if (r == KeyStore.Neither) return r
+      }
+      i += 1
+    }
+    if (r == KeyStore.Equal && nullsDiffer) KeyStore.Neither else r
+  }
+
   /** Exact tie on every skyline dimension (null ties with null) — the
     * SKYLINE OF DISTINCT duplicate criterion.
     */
@@ -112,13 +146,14 @@ final class DominanceChecker(
   }
 
   /** Null bitmap of a tuple: bit i set iff dimension i is null (§5.7). */
-  def nullBitmap(a: Array[Any]): Int = {
-    var bits = 0
-    var i = 0
-    while (i < arity) {
-      if (a(i) == null) bits |= (1 << i)
-      i += 1
-    }
-    bits
-  }
+  def nullBitmap(a: Array[Any]): Long = KeyStore.nullMask(new GenericInternalRow(a), arity)
+}
+
+object DominanceChecker {
+  /** Null bitmaps are one `long`, so incomplete dominance, which groups
+    * tuples by bitmap, supports at most `KeyStore.MaxMaskDimensions`.
+    */
+  def tooManyIncompleteDimensions(n: Int): String =
+    s"an incomplete skyline supports at most ${KeyStore.MaxMaskDimensions} dimensions " +
+      s"(got $n): use SKYLINE OF COMPLETE or make the dimensions non-nullable"
 }

@@ -14,6 +14,10 @@ object SkylineConf {
     */
   val Algorithm = "spark.sql.skyline.algorithm"
 
+  /** The accepted values of [[Algorithm]]; any other value is an error. */
+  val Algorithms: Seq[String] =
+    Seq("auto", "distributed-complete", "non-distributed-complete", "distributed-incomplete")
+
   /** Enable the 1-dimension MIN/MAX rewrite of §5.4 (default true). */
   val SingleDimOpt = "spark.sql.skyline.singleDimOptimization"
 
@@ -37,11 +41,25 @@ case class SkylineStrategy(session: SparkSession) extends SparkStrategy {
   override def apply(plan: LogicalPlan): Seq[SparkPlan] = plan match {
     case SkylineOperator(distinct, complete, dims, child) =>
       val algorithm = session.conf.get(SkylineConf.Algorithm, "auto")
+      if (!SkylineConf.Algorithms.contains(algorithm)) {
+        throw new IllegalArgumentException(
+          s"unknown ${SkylineConf.Algorithm} value '$algorithm'; expected one of: " +
+            SkylineConf.Algorithms.mkString(" | "))
+      }
       val singleDimOk =
         session.conf.get(SkylineConf.SingleDimOpt, "true").toBoolean &&
           dims.lengthCompare(1) == 0 && dims.head.direction != Direction.Diff &&
           !distinct
       val completeOk = complete || dims.forall(d => !d.child.nullable)
+
+      def incompletePair: SparkPlan = {
+        if (dims.length > KeyStore.MaxMaskDimensions) {
+          throw new IllegalArgumentException(
+            DominanceChecker.tooManyIncompleteDimensions(dims.length))
+        }
+        IncompleteGlobalSkylineExec(dims, distinct,
+          IncompleteLocalSkylineExec(dims, distinct, planLater(child)))
+      }
 
       def planned: SparkPlan = algorithm match {
         case "distributed-complete" =>
@@ -53,18 +71,14 @@ case class SkylineStrategy(session: SparkSession) extends SparkStrategy {
           else GlobalSkylineExec(dims, distinct, planLater(child))
         case "distributed-incomplete" =>
           if (singleDimOk) SingleDimSkylineExec(dims.head, incomplete = true, planLater(child))
-          else IncompleteGlobalSkylineExec(dims, distinct,
-            IncompleteLocalSkylineExec(dims, distinct, planLater(child)))
+          else incompletePair
         case _ => // auto — Listing 8
           if (singleDimOk) {
             SingleDimSkylineExec(dims.head, incomplete = !completeOk, planLater(child))
           } else if (completeOk) {
             GlobalSkylineExec(dims, distinct,
               LocalSkylineExec(dims, distinct, planLater(child)))
-          } else {
-            IncompleteGlobalSkylineExec(dims, distinct,
-              IncompleteLocalSkylineExec(dims, distinct, planLater(child)))
-          }
+          } else incompletePair
       }
       planned :: Nil
     case _ => Nil

@@ -2,9 +2,8 @@ package repro.core.physical
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.Attribute
-import org.apache.spark.sql.catalyst.plans.physical.{AllTuples, Distribution, Partitioning}
-import org.apache.spark.sql.execution.{SparkPlan, UnaryExecNode}
+import org.apache.spark.sql.catalyst.plans.physical.{AllTuples, Distribution}
+import org.apache.spark.sql.execution.SparkPlan
 import repro.core.{SkylineAlgorithms, SkylineDimension}
 
 /** Global-skyline node for complete data (§5.5–5.6).
@@ -20,24 +19,17 @@ case class GlobalSkylineExec(
     dimensions: Seq[SkylineDimension],
     distinct: Boolean,
     child: SparkPlan)
-    extends UnaryExecNode {
+    extends BnlSkylineExec {
 
-  override def output: Seq[Attribute] = child.output
-
-  override def outputPartitioning: Partitioning = child.outputPartitioning
+  override protected def incomplete: Boolean = false
 
   override def requiredChildDistribution: Seq[Distribution] = AllTuples :: Nil
 
   override protected def doExecute(): RDD[InternalRow] = {
-    val bound = SkylineExecUtil.bind(dimensions, child.output)
-    val chk = SkylineExecUtil.checker(dimensions, incomplete = false)
+    val ks = keys
     val dist = distinct
-    child.execute().mapPartitionsWithIndex { (idx, iter) =>
-      SkylineExecUtil.initExprs(bound, idx)
-      SkylineAlgorithms
-        .bnl(SkylineExecUtil.evaluated(iter, bound), chk, dist)
-        .iterator
-        .map(_._1)
+    skylinePartitions(preservesPartitioning = false) { (iter, dims) =>
+      SkylineAlgorithms.bnl(iter, dims, ks.newStore(), dist, BnlSkylineExec.copyRow).iterator
     }
   }
 

@@ -2,9 +2,9 @@ package repro.core.physical
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.{Attribute, IsNull}
-import org.apache.spark.sql.catalyst.plans.physical.{AllTuples, ClusteredDistribution, Distribution, Partitioning}
-import org.apache.spark.sql.execution.{SparkPlan, UnaryExecNode}
+import org.apache.spark.sql.catalyst.expressions.IsNull
+import org.apache.spark.sql.catalyst.plans.physical.{AllTuples, ClusteredDistribution, Distribution}
+import org.apache.spark.sql.execution.SparkPlan
 import repro.core.{SkylineAlgorithms, SkylineDimension}
 
 /** Local-skyline node for (potentially) incomplete data (§5.7).
@@ -13,8 +13,8 @@ import repro.core.{SkylineAlgorithms, SkylineDimension}
   * dimensions (`IsNull(dim)` per dimension) — the paper's bitmap
   * partitioning, crafted "using the predefined IsNull() method". All tuples
   * sharing a null bitmap land in the same partition; a partition may hold
-  * several bitmap groups (hash assignment), so rows are re-grouped by their
-  * exact bitmap before BNL. Within one bitmap group incomplete dominance is
+  * several bitmap groups (hash assignment), so each exact bitmap gets its
+  * own streaming BNL window. Within one bitmap group incomplete dominance is
   * transitive (identical null positions), so eager BNL deletion is safe;
   * cross-group dominance is deliberately left to the global node (Lemma 5.1).
   */
@@ -22,27 +22,21 @@ case class IncompleteLocalSkylineExec(
     dimensions: Seq[SkylineDimension],
     distinct: Boolean,
     child: SparkPlan)
-    extends UnaryExecNode {
+    extends BnlSkylineExec {
 
-  override def output: Seq[Attribute] = child.output
-
-  override def outputPartitioning: Partitioning = child.outputPartitioning
+  override protected def incomplete: Boolean = true
 
   override def requiredChildDistribution: Seq[Distribution] =
     ClusteredDistribution(dimensions.map(d => IsNull(d.child))) :: Nil
 
   override protected def doExecute(): RDD[InternalRow] = {
-    val bound = SkylineExecUtil.bind(dimensions, child.output)
-    val chk = SkylineExecUtil.checker(dimensions, incomplete = true)
+    val ks = keys
     val dist = distinct
-    child.execute().mapPartitionsWithIndex(
-      { (idx, iter) =>
-        SkylineExecUtil.initExprs(bound, idx)
-        SkylineAlgorithms
-          .bnlByNullBitmap(SkylineExecUtil.evaluated(iter, bound), chk, dist)
-          .map(_._1)
-      },
-      preservesPartitioning = true)
+    val arity = dimensions.length
+    skylinePartitions(preservesPartitioning = true) { (iter, dims) =>
+      SkylineAlgorithms.bnlByNullBitmap(
+        iter, dims, arity, () => ks.newStore(), dist, BnlSkylineExec.copyRow)
+    }
   }
 
   override protected def withNewChildInternal(newChild: SparkPlan): IncompleteLocalSkylineExec =
@@ -62,25 +56,17 @@ case class IncompleteGlobalSkylineExec(
     dimensions: Seq[SkylineDimension],
     distinct: Boolean,
     child: SparkPlan)
-    extends UnaryExecNode {
+    extends BnlSkylineExec {
 
-  override def output: Seq[Attribute] = child.output
-
-  override def outputPartitioning: Partitioning = child.outputPartitioning
+  override protected def incomplete: Boolean = true
 
   override def requiredChildDistribution: Seq[Distribution] = AllTuples :: Nil
 
   override protected def doExecute(): RDD[InternalRow] = {
-    val bound = SkylineExecUtil.bind(dimensions, child.output)
-    val chk = SkylineExecUtil.checker(dimensions, incomplete = true)
+    val ks = keys
     val dist = distinct
-    child.execute().mapPartitionsWithIndex { (idx, iter) =>
-      SkylineExecUtil.initExprs(bound, idx)
-      SkylineAlgorithms
-        .allPairsDeferred(
-          SkylineExecUtil.evaluated(iter, bound).toIndexedSeq, chk, dist)
-        .iterator
-        .map(_._1)
+    skylinePartitions(preservesPartitioning = false) { (iter, dims) =>
+      SkylineAlgorithms.allPairsDeferred(iter, dims, ks.newStore(), dist, BnlSkylineExec.copyRow)
     }
   }
 

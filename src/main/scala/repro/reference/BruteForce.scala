@@ -1,6 +1,7 @@
 package repro.reference
 
 import org.apache.spark.sql.Row
+import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
 import repro.core.Direction
 
 /** Definitional in-memory skyline — the second, Spark-free oracle.
@@ -13,12 +14,32 @@ import repro.core.Direction
   */
 object BruteForce {
 
+  private def integral(n: Number): Boolean = n match {
+    case _: java.lang.Byte | _: java.lang.Short | _: java.lang.Integer | _: java.lang.Long => true
+    case _ => false
+  }
+
+  /** Spark SQL's order of two values of one column: floating point as
+    * `SQLOrderingUtil` (NaN above +Infinity and equal to itself, -0.0 equal
+    * to 0.0), integral and decimal values exactly.
+    */
   private def cmp(a: Any, b: Any): Int = (a, b) match {
-    // Spark Rows surface numerics in various widths; normalize before
-    // comparing so tests can mix Int/Long/Double columns freely.
+    case (x: java.lang.Double, y: java.lang.Double) => SQLOrderingUtil.compareDoubles(x, y)
+    case (x: java.lang.Float, y: java.lang.Float)   => SQLOrderingUtil.compareFloats(x, y)
+    case (x: java.math.BigDecimal, y: java.math.BigDecimal) => x.compareTo(y)
+    case (x: Number, y: Number) if integral(x) && integral(y) =>
+      java.lang.Long.compare(x.longValue(), y.longValue())
+    // mixed widths: compare as doubles so tests can mix Int/Double freely
     case (x: Number, y: Number) =>
-      java.lang.Double.compare(x.doubleValue(), y.doubleValue())
+      SQLOrderingUtil.compareDoubles(x.doubleValue(), y.doubleValue())
     case _ => a.asInstanceOf[Comparable[Any]].compareTo(b)
+  }
+
+  /** A dimension value as a DISTINCT key: equal under [[cmp]] iff equal. */
+  private def distinctKey(v: Any): Any = v match {
+    case d: java.lang.Double => java.lang.Double.doubleToLongBits(if (d == 0.0) 0.0 else d)
+    case f: java.lang.Float  => java.lang.Float.floatToIntBits(if (f == 0.0f) 0.0f else f)
+    case other               => other
   }
 
   /** Does tuple `a` dominate tuple `b` on the given (index, direction)
@@ -71,7 +92,7 @@ object BruteForce {
     if (!distinct) undominated
     else {
       val seen = scala.collection.mutable.HashSet.empty[Seq[Any]]
-      undominated.filter(r => seen.add(dims.map { case (i, _) => r.get(i) }))
+      undominated.filter(r => seen.add(dims.map { case (i, _) => distinctKey(r.get(i)) }))
     }
   }
 }

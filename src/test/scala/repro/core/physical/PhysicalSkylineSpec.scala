@@ -219,6 +219,139 @@ class PhysicalSkylineSpec extends SparkSpec {
       incomplete = true)
   }
 
+  // ---- key path: encoded long keys or generic values ------------------
+
+  test("EXPLAIN shows the key path of every BNL skyline node") {
+    val complete = TestUtil.skylineWith(airbnbC, dims3, "distributed-complete").nodes
+    val incomplete = TestUtil.skylineWith(airbnbI, dims3, "distributed-incomplete").nodes
+    val bnlNodes = (complete ++ incomplete).collect {
+      case n @ (_: LocalSkylineExec | _: GlobalSkylineExec |
+                _: IncompleteLocalSkylineExec | _: IncompleteGlobalSkylineExec) => n
+    }
+    assert(bnlNodes.map(_.nodeName).toSet == Set("LocalSkyline", "GlobalSkyline",
+      "IncompleteLocalSkyline", "IncompleteGlobalSkyline"))
+    bnlNodes.foreach(n => assert(n.simpleString(25).endsWith("keys=long[3]"), n.simpleString(25)))
+  }
+
+  test("string and decimal dimensions take the generic path with the same results") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(21)
+    val df = Seq.fill(300)((rnd.nextInt(1000), s"k${rnd.nextInt(40)}",
+        BigDecimal(rnd.nextInt(5000), 2), rnd.nextInt(20)))
+      .toDF("id", "s", "dec", "v")
+    for (dims <- Seq(Seq("s" -> Min, "v" -> Max), Seq("dec" -> Max, "v" -> Min),
+                     Seq("s" -> Diff, "dec" -> Min, "v" -> Max))) {
+      for (algo <- Seq("distributed-complete", "distributed-incomplete")) {
+        val run = TestUtil.skylineWith(df, dims, algo)
+        assert(run.nodes.exists(_.simpleString(25).endsWith("keys=generic")), s"$dims $algo")
+        TestUtil.assertMatchesBrute(df, dims, algo, incomplete = algo == "distributed-incomplete")
+      }
+    }
+  }
+
+  test("typed edge values: every algorithm matches brute force (NaN, ±0.0, extremes, nulls)") {
+    import org.apache.spark.sql.Row
+    import org.apache.spark.sql.types._
+    import scala.jdk.CollectionConverters._
+    val rnd = new scala.util.Random(22)
+    def pick[A](edges: Seq[A], regular: => A): Any = {
+      val r = rnd.nextDouble()
+      if (r < 0.1) null else if (r < 0.3) edges(rnd.nextInt(edges.size)) else regular
+    }
+    val schema = StructType(Seq(
+      StructField("id", IntegerType, nullable = false),
+      StructField("b", ByteType), StructField("sh", ShortType), StructField("i", IntegerType),
+      StructField("l", LongType), StructField("f", FloatType), StructField("d", DoubleType),
+      StructField("bool", BooleanType), StructField("dt", DateType),
+      StructField("ts", TimestampType)))
+    val rows = (0 until 400).map { id =>
+      Row(id,
+        pick(Seq(Byte.MinValue, Byte.MaxValue), (rnd.nextInt(6) - 3).toByte),
+        pick(Seq(Short.MinValue, Short.MaxValue), rnd.nextInt(6).toShort),
+        pick(Seq(Int.MinValue, Int.MaxValue), rnd.nextInt(6) - 3),
+        pick(Seq(Long.MinValue, Long.MaxValue, Long.MaxValue - 1), rnd.nextInt(6).toLong),
+        pick(Seq(Float.NaN, -0.0f, 0.0f, Float.PositiveInfinity, Float.NegativeInfinity),
+          rnd.nextInt(6).toFloat / 2),
+        pick(Seq(Double.NaN, -0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity,
+          Double.MaxValue, Double.MinValue), rnd.nextInt(6).toDouble / 2 - 1),
+        pick(Seq(true, false), rnd.nextBoolean()),
+        pick(Seq(java.sql.Date.valueOf("1900-01-01")),
+          java.sql.Date.valueOf(s"2020-01-0${1 + rnd.nextInt(5)}")),
+        pick(Seq(java.sql.Timestamp.valueOf("1900-01-01 00:00:00")),
+          java.sql.Timestamp.valueOf(s"2020-01-01 00:00:0${rnd.nextInt(5)}")))
+    }
+    val df = spark.createDataFrame(rows.asJava, schema).cache()
+    try {
+      val names = schema.fieldNames.drop(1).toSeq
+      for (trial <- 1 to 6) {
+        val dims = rnd.shuffle(names).take(2 + rnd.nextInt(3))
+          .map(n => n -> Seq(Min, Max, Diff)(rnd.nextInt(3)))
+        val fixed = if (dims.forall(_._2 == Diff)) dims.updated(0, dims.head._1 -> Min) else dims
+        val input = df.collect().toSeq
+        for ((algo, incomplete) <- Seq("distributed-complete" -> false,
+             "non-distributed-complete" -> false, "distributed-incomplete" -> true)) {
+          val run = TestUtil.skylineWith(df, fixed, algo, complete = !incomplete)
+          assert(run.nodes.exists(_.simpleString(25).contains("keys=long[")), s"$fixed $algo")
+          val expected = repro.reference.BruteForce.skyline(
+            input, TestUtil.dimIndices(df, fixed), incomplete)
+          assert(run.rows.map(_.getInt(0)).sorted == expected.map(_.getInt(0)).sorted,
+            s"trial $trial $fixed $algo")
+        }
+      }
+    } finally { df.unpersist(); () }
+  }
+
+  // ---- loud limits -----------------------------------------------------
+
+  test("unknown spark.sql.skyline.algorithm values are rejected with the allowed list") {
+    val e = intercept[IllegalArgumentException] {
+      TestUtil.skylineWith(airbnbC, dims2, "distributed-complet")
+    }
+    assert(e.getMessage.contains("'distributed-complet'"))
+    assert(e.getMessage.contains(
+      "auto | distributed-complete | non-distributed-complete | distributed-incomplete"))
+  }
+
+  test("an incomplete skyline over 65 dimensions fails, naming the 64-dimension limit") {
+    import org.apache.spark.sql.functions.{col, lit, when}
+    val base = spark.range(3)
+    val wide = base.select(col("id") +: (0 until 65).map(i =>
+      when(col("id") === lit(i % 3), lit(null)).otherwise(col("id") + i).as(s"c$i")): _*)
+    val dims = (0 until 65).map(i => s"c$i" -> Min)
+    val e = intercept[IllegalArgumentException] {
+      TestUtil.skylineWith(wide, dims, "auto")
+    }
+    assert(e.getMessage.contains("at most 64 dimensions"))
+    // COMPLETE has no bitmaps and no limit
+    assert(TestUtil.skylineWith(wide.na.drop(), dims, "auto", complete = true).rows.isEmpty)
+  }
+
+  test("33 nullable dimensions: null at dim 0 and null at dim 32 are different bitmaps") {
+    import org.apache.spark.sql.Row
+    import org.apache.spark.sql.types._
+    import scala.jdk.CollectionConverters._
+    // a dominates b, b dominates c, a and c incomparable: SKY = {a}; if a and
+    // b shared a bitmap group the local step would drop b before it could
+    // eliminate c
+    def tuple(id: Int, d0: Any, d1: Int, d32: Any): Row =
+      Row.fromSeq(id +: (0 until 33).map(i =>
+        if (i == 0) d0 else if (i == 1) d1 else if (i == 32) d32 else 0))
+    val schema = StructType(StructField("id", IntegerType, nullable = false) +:
+      (0 until 33).map(i => StructField(s"c$i", IntegerType)))
+    val df = spark.createDataFrame(
+      Seq(tuple(0, null, 1, 5), tuple(1, 0, 2, null), tuple(2, null, 3, 0)).asJava, schema)
+    val dims = (0 until 33).map(i => s"c$i" -> Min)
+    // one shuffle partition: every bitmap group meets in the same local task
+    val previous = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "1")
+    try {
+      for (algo <- Seq("auto", "distributed-incomplete")) {
+        TestUtil.assertMatchesBrute(df, dims, algo, incomplete = true)
+        assert(TestUtil.skylineWith(df, dims, algo).rows.map(_.getInt(0)) == Seq(0), algo)
+      }
+    } finally spark.conf.set("spark.sql.shuffle.partitions", previous)
+  }
+
   test("many partitions vs one partition give the same skyline") {
     val base = SkylineData.airbnb(spark, 3000)
     val a = TestUtil.skylineWith(base.repartition(16), dims3, "distributed-complete")
