@@ -261,7 +261,7 @@ final class GenericKeys(checker: DominanceChecker) extends KeyStore {
 
 object GenericKeys {
   /** A value that no longer aliases the buffer of the row it came from. */
-  private def owned(v: Any): Any = v match {
+  private[core] def owned(v: Any): Any = v match {
     case s: UTF8String  => s.copy()
     case r: InternalRow => r.copy()
     case a: ArrayData   => a.copy()

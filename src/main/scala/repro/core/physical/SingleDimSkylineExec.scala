@@ -5,7 +5,7 @@ import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.Attribute
 import org.apache.spark.sql.catalyst.plans.physical.Partitioning
 import org.apache.spark.sql.execution.{SparkPlan, UnaryExecNode}
-import repro.core.{Direction, SkylineDimension}
+import repro.core.{Direction, DominanceChecker, GenericKeys, SkylineDimension}
 
 /** Optimized operator for single-dimension MIN/MAX skylines (§5.4).
   *
@@ -20,7 +20,7 @@ import repro.core.{Direction, SkylineDimension}
   * everything (no mutually non-null dimension exists), hence vacuously part
   * of the skyline; the extreme is taken over non-null values only. In
   * complete mode the null-aware nulls-first comparison keeps the operator
-  * consistent with [[GlobalSkylineExec]] on dirty data.
+  * consistent with the complete [[SkylineExec]] on dirty data.
   */
 case class SingleDimSkylineExec(
     dimension: SkylineDimension,
@@ -36,9 +36,8 @@ case class SingleDimSkylineExec(
   override def outputPartitioning: Partitioning = child.outputPartitioning
 
   override protected def doExecute(): RDD[InternalRow] = {
-    val dims = Seq(dimension)
-    val bound = SkylineExecUtil.bind(dims, child.output)
-    val chk = SkylineExecUtil.checker(dims, incomplete)
+    val bound = SkylineExecUtil.bind(Seq(dimension), child.output)
+    val chk = new DominanceChecker(Array(dimension.dataType), Array(dimension.direction), incomplete)
     val isMin = dimension.direction == Direction.Min
     val incompleteMode = incomplete
     val childRdd = child.execute()
@@ -56,12 +55,9 @@ case class SingleDimSkylineExec(
         var best: Any = null
         var seen = false
         iter.foreach { row =>
-          // own the value: UTF8String from an unsafe row aliases the row
-          // buffer, which is reused by the iterator
-          val v = bound(0).eval(row) match {
-            case s: org.apache.spark.unsafe.types.UTF8String => s.clone()
-            case other                                       => other
-          }
+          // own the value: a string, struct or array from an unsafe row
+          // aliases the row buffer, which is reused by the iterator
+          val v = GenericKeys.owned(bound(0).eval(row))
           if (v != null || !incompleteMode) {
             if (!seen) { best = v; seen = true } else best = better(best, v)
           }

@@ -1,11 +1,8 @@
 package repro.core.physical
 
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{Attribute, BaseGenericInternalRow, BindReferences, BoundReference, Expression, Nondeterministic}
-import org.apache.spark.sql.catalyst.plans.physical.Partitioning
-import org.apache.spark.sql.execution.UnaryExecNode
-import repro.core.{DominanceChecker, SkylineDimension, SkylineKeys}
+import repro.core.SkylineDimension
 
 /** Shared plumbing for the skyline physical operators: binding the dimension
   * expressions against the child output and evaluating them per row.
@@ -18,13 +15,6 @@ private[core] object SkylineExecUtil {
   def bind(dims: Seq[SkylineDimension], childOutput: Seq[Attribute]): Array[Expression] =
     dims.map(d => BindReferences.bindReference(d.child, childOutput)).toArray
 
-  /** Dominance checker matched to the dimensions' exact data types. */
-  def checker(dims: Seq[SkylineDimension], incomplete: Boolean): DominanceChecker =
-    new DominanceChecker(
-      dims.map(_.child.dataType).toArray,
-      dims.map(_.direction).toArray,
-      incomplete)
-
   /** Per-partition initialization for nondeterministic dimension
     * expressions (e.g. rand() as a skyline dimension).
     */
@@ -33,51 +23,6 @@ private[core] object SkylineExecUtil {
       case n: Nondeterministic => n.initialize(partitionIndex)
       case _                   =>
     })
-}
-
-/** What the four BNL skyline nodes share: the child's output and
-  * partitioning, the key path chosen from the dimension types (shown in
-  * EXPLAIN as `keys=long[n]` or `keys=generic`), and the per-partition
-  * loop that runs a kernel.
-  */
-private[physical] trait BnlSkylineExec extends UnaryExecNode {
-
-  def dimensions: Seq[SkylineDimension]
-
-  def distinct: Boolean
-
-  protected def incomplete: Boolean
-
-  protected def keys: SkylineKeys = SkylineKeys(dimensions, incomplete)
-
-  override def output: Seq[Attribute] = child.output
-
-  override def outputPartitioning: Partitioning = child.outputPartitioning
-
-  override def simpleString(maxFields: Int): String =
-    s"${super.simpleString(maxFields)}, keys=$keys"
-
-  /** Run `kernel` on every partition of the child. The kernel gets the
-    * partition's rows and a view of a row's dimension values
-    * ([[DimensionRow]]); the input rows are reused buffers, so the kernel
-    * copies (`copyRow`) only the rows it keeps, and its key store copies the
-    * values it keeps.
-    */
-  protected def skylinePartitions(preservesPartitioning: Boolean)(
-      kernel: (Iterator[InternalRow], InternalRow => InternalRow) => Iterator[InternalRow])
-      : RDD[InternalRow] = {
-    val bound = SkylineExecUtil.bind(dimensions, child.output)
-    child.execute().mapPartitionsWithIndex(
-      { (idx, iter) =>
-        SkylineExecUtil.initExprs(bound, idx)
-        kernel(iter, new DimensionRow(bound).of)
-      },
-      preservesPartitioning)
-  }
-}
-
-private[physical] object BnlSkylineExec {
-  val copyRow: InternalRow => InternalRow = _.copy()
 }
 
 /** The skyline-dimension values of the current input row, as the row a key

@@ -4,7 +4,7 @@ import org.apache.spark.sql.catalyst.expressions.{Alias, Attribute}
 import org.apache.spark.sql.catalyst.plans.{LeftOuter, RightOuter}
 import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan, Project}
 import org.apache.spark.sql.catalyst.rules.Rule
-import repro.core.{SkylineConf, SkylineDimension, SkylineOperator}
+import repro.core.{SkylineDimension, SkylineOperator}
 
 /** Catalyst optimization: move the skyline into one side of a
   * *non-reductive* join (§5.4; transformation from Börzsönyi et al., with
@@ -25,32 +25,32 @@ import repro.core.{SkylineConf, SkylineDimension, SkylineOperator}
   *    the duplicate count when a kept tuple has several join partners).
   *
   * An intervening Project (the SELECT list) is traversed by substituting its
-  * aliases into the dimension expressions.
+  * aliases into the dimension expressions. Like any optimizer rule it can
+  * be switched off with
+  * `spark.sql.optimizer.excludedRules=repro.core.rules.SkylinePushThroughJoin`.
   */
 object SkylinePushThroughJoin extends Rule[LogicalPlan] {
 
-  override def apply(plan: LogicalPlan): LogicalPlan =
-    if (!conf.getConfString(SkylineConf.JoinPushdown, "true").toBoolean) plan
-    else plan.transformUp {
-      case sky @ SkylineOperator(false, _, dims, join: Join) =>
-        tryPush(sky, dims, join).map(join.withNewChildren).getOrElse(sky)
+  override def apply(plan: LogicalPlan): LogicalPlan = plan.transformUp {
+    case sky @ SkylineOperator(false, _, dims, join: Join) =>
+      tryPush(sky, dims, join).map(join.withNewChildren).getOrElse(sky)
 
-      case sky @ SkylineOperator(false, _, dims, p @ Project(plist, join: Join))
-          if plist.forall(_.deterministic) =>
-        // Rewrite dimensions through the projection's aliases, then push.
-        val substituted = dims.map { d =>
-          d.copy(child = d.child.transformUp {
-            case a: Attribute =>
-              plist.collectFirst {
-                case al @ Alias(e, _) if al.exprId == a.exprId => e
-                case at: Attribute if at.exprId == a.exprId    => at
-              }.getOrElse(a)
-          })
-        }
-        tryPush(sky, substituted, join)
-          .map(children => p.copy(child = join.withNewChildren(children)))
-          .getOrElse(sky)
-    }
+    case sky @ SkylineOperator(false, _, dims, p @ Project(plist, join: Join))
+        if plist.forall(_.deterministic) =>
+      // Rewrite dimensions through the projection's aliases, then push.
+      val substituted = dims.map { d =>
+        d.copy(child = d.child.transformUp {
+          case a: Attribute =>
+            plist.collectFirst {
+              case al @ Alias(e, _) if al.exprId == a.exprId => e
+              case at: Attribute if at.exprId == a.exprId    => at
+            }.getOrElse(a)
+        })
+      }
+      tryPush(sky, substituted, join)
+        .map(children => p.copy(child = join.withNewChildren(children)))
+        .getOrElse(sky)
+  }
 
   /** If pushable, return the join's new children (skyline wrapped around the
     * preserved side).

@@ -1,5 +1,7 @@
 package repro.core.physical
 
+import org.apache.spark.sql.catalyst.expressions.IsNull
+import org.apache.spark.sql.catalyst.plans.physical.{AllTuples, ClusteredDistribution, UnspecifiedDistribution}
 import org.apache.spark.sql.execution.SparkPlan
 import repro.SparkSpec
 import repro.core.{Direction, SkylineConf, TestUtil}
@@ -16,6 +18,13 @@ class PhysicalSkylineSpec extends SparkSpec {
 
   private def nodes(df: org.apache.spark.sql.DataFrame): Seq[SparkPlan] =
     TestUtil.executedNodes(df)
+
+  /** The BNL skyline nodes of a plan by name: `LocalSkyline`,
+    * `GlobalSkyline`, `IncompleteLocalSkyline`, `IncompleteGlobalSkyline`
+    * (the names EXPLAIN and the stages' RDD scopes show).
+    */
+  private def skylineNodes(ns: Seq[SparkPlan]): Map[String, SkylineExec] =
+    ns.collect { case s: SkylineExec => s.nodeName -> s }.toMap
 
   private def airbnbC = SkylineData.airbnb(spark, 2000, nullFraction = 0.0)
   private def airbnbI = SkylineData.airbnb(spark, 2000, nullFraction = 0.15)
@@ -101,20 +110,18 @@ class PhysicalSkylineSpec extends SparkSpec {
 
   test("auto mode picks the incomplete algorithm for nullable dimensions") {
     val ns = nodes(airbnbI.skyline(smin("price"), smax("accommodates")))
-    assert(ns.exists(_.isInstanceOf[IncompleteGlobalSkylineExec]))
-    assert(ns.exists(_.isInstanceOf[IncompleteLocalSkylineExec]))
+    assert(skylineNodes(ns).keySet == Set("IncompleteLocalSkyline", "IncompleteGlobalSkyline"))
   }
 
   test("auto mode picks the complete algorithm for non-nullable dimensions") {
     val ns = nodes(airbnbC.skyline(smin("price"), smax("accommodates")))
-    assert(ns.exists(_.isInstanceOf[GlobalSkylineExec]))
-    assert(ns.exists(_.isInstanceOf[LocalSkylineExec]))
+    assert(skylineNodes(ns).keySet == Set("LocalSkyline", "GlobalSkyline"))
   }
 
   test("COMPLETE keyword forces the complete algorithm on nullable schema") {
     val ns = nodes(
       airbnbI.na.drop().skylineComplete(smin("price"), smax("accommodates")))
-    assert(ns.exists(_.isInstanceOf[GlobalSkylineExec]))
+    assert(skylineNodes(ns).contains("GlobalSkyline"))
   }
 
   test("COMPLETE on actually-complete-but-nullable data is correct") {
@@ -132,30 +139,63 @@ class PhysicalSkylineSpec extends SparkSpec {
 
   test("distributed-complete plans local + global pair") {
     val run = TestUtil.skylineWith(airbnbC, dims3, "distributed-complete")
-    val global = run.nodes.collectFirst { case g: GlobalSkylineExec => g }
+    val global = skylineNodes(run.nodes).get("GlobalSkyline")
     assert(global.nonEmpty)
-    assert(TestUtil.allPhysicalNodes(global.get)
-      .exists(_.isInstanceOf[LocalSkylineExec]),
+    assert(skylineNodes(TestUtil.allPhysicalNodes(global.get)).contains("LocalSkyline"),
       "local skyline must feed the global one")
   }
 
   test("non-distributed-complete plans global only") {
     val ns = TestUtil.skylineWith(airbnbC, dims3, "non-distributed-complete").nodes
-    assert(!ns.exists(_.isInstanceOf[LocalSkylineExec]))
-    assert(ns.exists(_.isInstanceOf[GlobalSkylineExec]))
+    assert(skylineNodes(ns).keySet == Set("GlobalSkyline"))
   }
 
   test("distributed-incomplete plans bitmap local + deferred global pair") {
     val ns = TestUtil.skylineWith(airbnbI, dims3, "distributed-incomplete").nodes
-    assert(ns.exists(_.isInstanceOf[IncompleteLocalSkylineExec]))
-    assert(ns.exists(_.isInstanceOf[IncompleteGlobalSkylineExec]))
+    assert(skylineNodes(ns).keySet == Set("IncompleteLocalSkyline", "IncompleteGlobalSkyline"))
+  }
+
+  test("each BNL skyline node requires the distribution of its role") {
+    val complete = TestUtil.skylineWith(airbnbC, dims3, "distributed-complete").nodes
+    val incomplete = TestUtil.skylineWith(airbnbI, dims3, "distributed-incomplete").nodes
+    val byName = skylineNodes(complete ++ incomplete)
+    assert(byName.keySet == Set("LocalSkyline", "GlobalSkyline",
+      "IncompleteLocalSkyline", "IncompleteGlobalSkyline"))
+    assert(byName("LocalSkyline").requiredChildDistribution == Seq(UnspecifiedDistribution))
+    assert(byName("GlobalSkyline").requiredChildDistribution == Seq(AllTuples))
+    assert(byName("IncompleteGlobalSkyline").requiredChildDistribution == Seq(AllTuples))
+    val bitmapLocal = byName("IncompleteLocalSkyline")
+    bitmapLocal.requiredChildDistribution match {
+      case Seq(ClusteredDistribution(exprs, _, _)) =>
+        assert(exprs == bitmapLocal.dimensions.map(d => IsNull(d.child)))
+        assert(exprs.length == 3)
+      case other => fail(s"IncompleteLocalSkyline requires $other")
+    }
+    // the non-distributed plan is the complete global node on its own
+    val alone = skylineNodes(
+      TestUtil.skylineWith(airbnbC, dims3, "non-distributed-complete").nodes)
+    assert(alone("GlobalSkyline").requiredChildDistribution == Seq(AllTuples))
   }
 
   test("local skyline preserves the number of input partitions") {
     val df = airbnbC.repartition(7)
     val run = TestUtil.skylineWith(df, dims3, "distributed-complete")
-    val local = run.nodes.collectFirst { case l: LocalSkylineExec => l }.get
+    val local = skylineNodes(run.nodes)("LocalSkyline")
     assert(local.execute().getNumPartitions == 7)
+    // the incomplete local node keeps the partitions of its IsNull exchange
+    val confs = Seq("spark.sql.shuffle.partitions" -> "7",
+      "spark.sql.adaptive.coalescePartitions.enabled" -> "false")
+    val previous = confs.map { case (k, _) => k -> spark.conf.getOption(k) }
+    confs.foreach { case (k, v) => spark.conf.set(k, v) }
+    try {
+      val run = TestUtil.skylineWith(airbnbI, dims3, "distributed-incomplete")
+      val bitmapLocal = skylineNodes(run.nodes)("IncompleteLocalSkyline")
+      assert(bitmapLocal.child.execute().getNumPartitions == 7)
+      assert(bitmapLocal.execute().getNumPartitions == 7)
+    } finally previous.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None)    => spark.conf.unset(k)
+    }
   }
 
   test("skyline output schema equals input schema") {
@@ -224,10 +264,7 @@ class PhysicalSkylineSpec extends SparkSpec {
   test("EXPLAIN shows the key path of every BNL skyline node") {
     val complete = TestUtil.skylineWith(airbnbC, dims3, "distributed-complete").nodes
     val incomplete = TestUtil.skylineWith(airbnbI, dims3, "distributed-incomplete").nodes
-    val bnlNodes = (complete ++ incomplete).collect {
-      case n @ (_: LocalSkylineExec | _: GlobalSkylineExec |
-                _: IncompleteLocalSkylineExec | _: IncompleteGlobalSkylineExec) => n
-    }
+    val bnlNodes = skylineNodes(complete ++ incomplete).values
     assert(bnlNodes.map(_.nodeName).toSet == Set("LocalSkyline", "GlobalSkyline",
       "IncompleteLocalSkyline", "IncompleteGlobalSkyline"))
     bnlNodes.foreach(n => assert(n.simpleString(25).endsWith("keys=long[3]"), n.simpleString(25)))

@@ -1,8 +1,9 @@
 package repro.core.rules
 
 import org.apache.spark.sql.catalyst.plans.logical.Join
+import org.apache.spark.sql.internal.SQLConf
 import repro.SparkSpec
-import repro.core.{SkylineConf, SkylineOperator, TestUtil}
+import repro.core.{SkylineOperator, TestUtil}
 
 /** Optimizer tests for pushing the skyline into a non-reductive join (§5.4). */
 class SkylinePushThroughJoinSpec extends SparkSpec {
@@ -16,6 +17,12 @@ class SkylinePushThroughJoinSpec extends SparkSpec {
   }
 
   private def optimized(sql: String) = spark.sql(sql).queryExecution.optimizedPlan
+
+  /** Run `body` with the rule switched off, as any Spark optimizer rule is. */
+  private def withoutPushdown[T](body: => T): T = {
+    spark.conf.set(SQLConf.OPTIMIZER_EXCLUDED_RULES.key, SkylinePushThroughJoin.ruleName)
+    try body finally spark.conf.unset(SQLConf.OPTIMIZER_EXCLUDED_RULES.key)
+  }
 
   private def skylineUnderJoin(plan: org.apache.spark.sql.catalyst.plans.logical.LogicalPlan): Boolean =
     plan.collectFirst {
@@ -36,22 +43,17 @@ class SkylinePushThroughJoinSpec extends SparkSpec {
       """SELECT * FROM jt_left l LEFT OUTER JOIN jt_right r ON l.lid = r.lid
         |SKYLINE OF price MIN, rating MAX""".stripMargin
     val pushed = spark.sql(sql).collect().toSeq
-    spark.conf.set(SkylineConf.JoinPushdown, "false")
-    val unpushed =
-      try spark.sql(sql).collect().toSeq
-      finally spark.conf.unset(SkylineConf.JoinPushdown)
+    val unpushed = withoutPushdown(spark.sql(sql).collect().toSeq)
     TestUtil.assertSameRows(pushed, unpushed)
   }
 
   test("pushdown can be disabled by conf") {
     setup()
-    spark.conf.set(SkylineConf.JoinPushdown, "false")
-    try {
-      val plan = optimized(
-        """SELECT * FROM jt_left l LEFT OUTER JOIN jt_right r ON l.lid = r.lid
-          |SKYLINE OF price MIN, rating MAX""".stripMargin)
-      assert(!skylineUnderJoin(plan))
-    } finally spark.conf.unset(SkylineConf.JoinPushdown)
+    val plan = withoutPushdown(optimized(
+      """SELECT * FROM jt_left l LEFT OUTER JOIN jt_right r ON l.lid = r.lid
+        |SKYLINE OF price MIN, rating MAX""".stripMargin))
+    assert(!skylineUnderJoin(plan))
+    assert(plan.collectFirst { case s: SkylineOperator => s }.nonEmpty, s"skyline lost:\n$plan")
   }
 
   test("INNER join is reductive: no pushdown") {
