@@ -1,17 +1,31 @@
-package org.apache.spark.sql.skyline
+package org.apache.spark.sql.catalyst.parser.skyline
 
+import org.antlr.v4.runtime.CharStreams
 import org.apache.spark.sql.{Column, DataFrame, SparkSession, classic}
 import org.apache.spark.sql.catalyst.expressions.Expression
+import org.apache.spark.sql.catalyst.parser.{SqlBaseLexer, UpperCaseCharStream}
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 
-/** Access to two `private[sql]` seams the DataFrame API needs.
+/** Access to the non-public Spark seams the parser and the DataFrame API
+  * need: `private[sql]` plan/column conversions and the `private[parser]`
+  * character stream Spark's own lexer reads.
   *
   * In the paper the skyline code lives inside the Spark source tree and uses
-  * these directly; building against stock Spark, this one-file shim in the
-  * `org.apache.spark.sql` namespace provides the same access (the standard
-  * technique used by Spark connector libraries).
+  * these directly; building against stock Spark, this one-file shim inside
+  * the `org.apache.spark.sql.catalyst.parser` namespace provides the same
+  * access (the standard technique used by Spark connector libraries).
   */
 object Bridge {
+
+  /** Spark's SQL lexer over `sql`, built as Spark's parser builds it
+    * (keywords match case-insensitively) but with no error listeners:
+    * characters it cannot lex are left for Spark's parser to report.
+    */
+  def lexer(sql: String): SqlBaseLexer = {
+    val lexer = new SqlBaseLexer(new UpperCaseCharStream(CharStreams.fromString(sql)))
+    lexer.removeErrorListeners()
+    lexer
+  }
 
   /** Wrap a logical plan as a DataFrame (`Dataset.ofRows`). */
   def ofRows(session: SparkSession, plan: LogicalPlan): DataFrame =

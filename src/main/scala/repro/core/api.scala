@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, Dataset}
 import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.skyline.Bridge
+import org.apache.spark.sql.catalyst.parser.skyline.Bridge
 
 /** DataFrame API for skyline queries (§5.8).
   *

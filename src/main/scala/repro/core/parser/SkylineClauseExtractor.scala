@@ -1,29 +1,36 @@
 package repro.core.parser
 
+import org.antlr.v4.runtime.Token
+import org.apache.spark.sql.catalyst.parser.SqlBaseLexer
+import org.apache.spark.sql.catalyst.parser.skyline.Bridge
 import repro.core.Direction
+import scala.jdk.CollectionConverters._
 
 /** Raised for malformed SKYLINE OF clauses (missing direction keyword,
-  * empty dimension list, multiple clauses, ...).
+  * empty dimension list, multiple or nested clauses, ...).
   */
 class SkylineParseException(message: String) extends IllegalArgumentException(message)
 
-/** Lexer-level splitter for the `SKYLINE OF` clause (Listing 5 grammar).
+/** Splitter for the `SKYLINE OF` clause (Listing 5 grammar).
   *
   * The paper extends Spark's ANTLR grammar in-tree; against stock Spark the
-  * equivalent is to scan the query string for a *top-level* skyline clause
-  * (respecting string literals, quoted identifiers, comments and parenthesis
-  * nesting), cut it out, and hand the remaining — now grammatically plain —
-  * SQL to Spark's own parser. Dimension expressions are parsed by Spark's
-  * expression parser, so arbitrary expressions (arithmetic, function calls,
-  * aggregates) are supported exactly as in the paper.
+  * equivalent is to find a *top-level* skyline clause in the token stream of
+  * Spark's own SQL lexer, cut it out, and hand the remaining — now
+  * grammatically plain — SQL to Spark's own parser. Spark's lexer alone
+  * decides what is a string, a quoted identifier or a comment. Dimension
+  * expressions are parsed by Spark's expression parser, so arbitrary
+  * expressions (arithmetic, function calls, aggregates) are supported
+  * exactly as in the paper.
   *
   * Grammar handled (after a HAVING clause, before ORDER BY / LIMIT / set ops):
   * {{{
   *   SKYLINE OF [DISTINCT] [COMPLETE] expr (MIN|MAX|DIFF) (',' expr (MIN|MAX|DIFF))*
   * }}}
   *
-  * Queries without a top-level clause are returned untouched (`None`) after
-  * at most one scan — the "no side effects on other queries" property (§5.9).
+  * The clause is only supported at the top level of a query; inside
+  * parentheses (a subquery or a CTE body) it is rejected. Queries without
+  * the word SKYLINE are returned untouched (`None`) without being lexed —
+  * the "no side effects on other queries" property (§5.9).
   */
 object SkylineClauseExtractor {
 
@@ -46,198 +53,63 @@ object SkylineClauseExtractor {
   def extract(sql: String): Option[Extraction] = {
     // Fast path: virtually every query lacks the keyword entirely.
     if (!sql.toUpperCase.contains("SKYLINE")) return None
-    val found = findClause(sql, 0)
-    found.map { case (start, distinct, complete, items, end) =>
-      val stripped = sql.substring(0, start) + " " + sql.substring(end)
-      if (findClause(stripped, 0).isDefined) {
-        throw new SkylineParseException(
-          "only one top-level SKYLINE OF clause is allowed per query")
-      }
-      Extraction(stripped, distinct, complete, items)
+    val tokens = Bridge.lexer(sql).getAllTokens.asScala
+      .filter(_.getChannel == Token.DEFAULT_CHANNEL).toIndexedSeq
+    // depth(i): parenthesis depth just before tokens(i)
+    val depth = tokens.scanLeft(0) { (d, t) =>
+      if (t.getType == SqlBaseLexer.LEFT_PAREN) d + 1
+      else if (t.getType == SqlBaseLexer.RIGHT_PAREN) d - 1
+      else d
     }
-  }
+    def is(i: Int, word: String) = i < tokens.size && tokens(i).getText.equalsIgnoreCase(word)
+    // Token positions count code points; `sql` is indexed by UTF-16 chars.
+    def start(i: Int) =
+      if (i < tokens.size) sql.offsetByCodePoints(0, tokens(i).getStartIndex) else sql.length
+    def text(from: Int, until: Int) =
+      sql.substring(start(from), sql.offsetByCodePoints(0, tokens(until - 1).getStopIndex + 1))
 
-  /** Scan for `SKYLINE OF` at parenthesis depth 0 starting at `from`.
-    * Returns (clauseStart, distinct, complete, items, clauseEnd).
-    */
-  private def findClause(
-      sql: String,
-      from: Int): Option[(Int, Boolean, Boolean, Seq[(String, Direction)], Int)] = {
-    var i = from
-    var depth = 0
-    val n = sql.length
-    while (i < n) {
-      val c = sql.charAt(i)
-      if (c == '\'' || c == '"' || c == '`') i = skipQuoted(sql, i)
-      else if (c == '-' && i + 1 < n && sql.charAt(i + 1) == '-') i = skipLineComment(sql, i)
-      else if (c == '/' && i + 1 < n && sql.charAt(i + 1) == '*') i = skipBlockComment(sql, i)
-      else if (c == '(') { depth += 1; i += 1 }
-      else if (c == ')') { depth -= 1; i += 1 }
-      else if (isWordStart(c)) {
-        val end = wordEnd(sql, i)
-        if (depth == 0 && sql.substring(i, end).equalsIgnoreCase("SKYLINE")) {
-          val afterOf = expectWord(sql, end, "OF")
-          afterOf match {
-            case Some(p) => return Some(parseClauseBody(sql, i, p))
-            case None    => i = end // identifier named "skyline"; not a clause
-          }
-        } else i = end
-      } else i += 1
-    }
-    None
-  }
-
-  /** Parse flags + dimension items starting right after `OF`. */
-  private def parseClauseBody(
-      sql: String,
-      clauseStart: Int,
-      afterOf: Int): (Int, Boolean, Boolean, Seq[(String, Direction)], Int) = {
-    var i = afterOf
-    var distinct = false
-    var complete = false
-    expectWord(sql, i, "DISTINCT").foreach { p => distinct = true; i = p }
-    expectWord(sql, i, "COMPLETE").foreach { p => complete = true; i = p }
-
-    val items = Vector.newBuilder[(String, Direction)]
-    var itemStart = skipIgnorable(sql, i)
-    var lastWordStart = -1
-    var lastWordEnd = -1
-    var depth = 0
-    var done = false
-    var clauseEnd = sql.length
-    i = itemStart
-
-    def endItem(endAt: Int): Unit = {
-      if (lastWordStart < 0) {
-        throw new SkylineParseException(
-          s"skyline dimension at position $itemStart is empty")
+    def item(from: Int, until: Int): (String, Direction) = {
+      if (from == until) {
+        throw new SkylineParseException(s"skyline dimension at position ${start(from)} is empty")
       }
-      val dirText = sql.substring(lastWordStart, lastWordEnd)
+      val dirText = tokens(until - 1).getText
       val dir = Direction.fromString(dirText).getOrElse {
         throw new SkylineParseException(
-          s"skyline dimension '${sql.substring(itemStart, endAt).trim}' must end " +
-            "with MIN, MAX or DIFF")
+          s"skyline dimension '${text(from, until)}' must end with MIN, MAX or DIFF")
       }
-      val expr = sql.substring(itemStart, lastWordStart).trim
-      if (expr.isEmpty) {
-        throw new SkylineParseException(
-          s"skyline dimension before '${dirText}' has no expression")
+      if (from == until - 1) {
+        throw new SkylineParseException(s"skyline dimension before '$dirText' has no expression")
       }
-      items += ((expr, dir))
+      (text(from, until - 1), dir)
     }
 
-    val n = sql.length
-    while (i < n && !done) {
-      val c = sql.charAt(i)
-      if (c == '\'' || c == '"' || c == '`') i = skipQuoted(sql, i)
-      else if (c == '-' && i + 1 < n && sql.charAt(i + 1) == '-') i = skipLineComment(sql, i)
-      else if (c == '/' && i + 1 < n && sql.charAt(i + 1) == '*') i = skipBlockComment(sql, i)
-      else if (c == '(') { depth += 1; i += 1 }
-      else if (c == ')') {
-        if (depth == 0) { clauseEnd = i; done = true } // end of an enclosing subquery
-        else { depth -= 1; i += 1 }
-      }
-      else if (c == ',' && depth == 0) {
-        endItem(i)
-        i += 1
-        itemStart = skipIgnorable(sql, i)
-        i = itemStart
-        lastWordStart = -1; lastWordEnd = -1
-      }
-      else if (isWordStart(c)) {
-        val end = wordEnd(sql, i)
-        val w = sql.substring(i, end).toUpperCase
-        if (depth == 0 &&
-            (Terminators.contains(w) ||
-              (w == "SKYLINE" && expectWord(sql, end, "OF").isDefined))) {
-          clauseEnd = i; done = true
-        }
-        else {
-          if (depth == 0) { lastWordStart = i; lastWordEnd = end }
-          i = end
-        }
-      } else i += 1
+    val clauses = tokens.indices.filter(i => is(i, "SKYLINE") && is(i + 1, "OF"))
+    if (clauses.exists(depth(_) > 0)) {
+      throw new SkylineParseException(
+        "SKYLINE OF is only supported at the top level of a query, " +
+          "not inside parentheses (a subquery or a CTE body)")
     }
-    if (!done) clauseEnd = n
-    endItem(clauseEnd)
-    (clauseStart, distinct, complete, items.result(), clauseEnd)
-  }
-
-  // ---- low-level scanning helpers -------------------------------------
-
-  private def isWordStart(c: Char): Boolean = c.isLetter || c == '_'
-  private def isWordChar(c: Char): Boolean = c.isLetterOrDigit || c == '_'
-
-  private def wordEnd(sql: String, start: Int): Int = {
-    var i = start
-    while (i < sql.length && isWordChar(sql.charAt(i))) i += 1
-    i
-  }
-
-  /** Skip a quoted region starting at `start` (', ", or `); doubled quote
-    * chars and backslash escapes are honored.
-    */
-  private def skipQuoted(sql: String, start: Int): Int = {
-    val q = sql.charAt(start)
-    var i = start + 1
-    val n = sql.length
-    while (i < n) {
-      val c = sql.charAt(i)
-      if (c == '\\' && q != '`' && i + 1 < n) i += 2
-      else if (c == q) {
-        if (i + 1 < n && sql.charAt(i + 1) == q) i += 2 // doubled-quote escape
-        else return i + 1
-      } else i += 1
+    if (clauses.size > 1) {
+      throw new SkylineParseException(
+        "only one top-level SKYLINE OF clause is allowed per query")
     }
-    n
-  }
-
-  private def skipLineComment(sql: String, start: Int): Int = {
-    var i = start + 2
-    while (i < sql.length && sql.charAt(i) != '\n') i += 1
-    i
-  }
-
-  /** Bracketed comments nest in Spark SQL. */
-  private def skipBlockComment(sql: String, start: Int): Int = {
-    var i = start + 2
-    var level = 1
-    val n = sql.length
-    while (i < n && level > 0) {
-      if (i + 1 < n && sql.charAt(i) == '/' && sql.charAt(i + 1) == '*') { level += 1; i += 2 }
-      else if (i + 1 < n && sql.charAt(i) == '*' && sql.charAt(i + 1) == '/') { level -= 1; i += 2 }
-      else i += 1
-    }
-    i
-  }
-
-  /** Skip whitespace and comments. */
-  private def skipIgnorable(sql: String, start: Int): Int = {
-    var i = start
-    val n = sql.length
-    var moved = true
-    while (moved && i < n) {
-      moved = false
-      while (i < n && sql.charAt(i).isWhitespace) { i += 1; moved = true }
-      if (i + 1 < n && sql.charAt(i) == '-' && sql.charAt(i + 1) == '-') {
-        i = skipLineComment(sql, i); moved = true
-      }
-      if (i + 1 < n && sql.charAt(i) == '/' && sql.charAt(i + 1) == '*') {
-        i = skipBlockComment(sql, i); moved = true
-      }
-    }
-    i
-  }
-
-  /** If the next word (ignoring whitespace/comments) equals `word`
-    * case-insensitively, return the position just after it.
-    */
-  private def expectWord(sql: String, start: Int, word: String): Option[Int] = {
-    val i = skipIgnorable(sql, start)
-    if (i >= sql.length || !isWordStart(sql.charAt(i))) None
-    else {
-      val end = wordEnd(sql, i)
-      if (sql.substring(i, end).equalsIgnoreCase(word)) Some(end) else None
+    clauses.headOption.map { clause =>
+      var i = clause + 2
+      val distinct = is(i, "DISTINCT")
+      if (distinct) i += 1
+      val complete = is(i, "COMPLETE")
+      if (complete) i += 1
+      // A trailing `;` stays in `stripped`: Spark's statement rule accepts it.
+      val end = (i until tokens.size).find { j =>
+        depth(j) == 0 &&
+          (tokens(j).getType == SqlBaseLexer.SEMICOLON ||
+            Terminators.contains(tokens(j).getText.toUpperCase))
+      }.getOrElse(tokens.size)
+      val commas =
+        (i until end).filter(j => depth(j) == 0 && tokens(j).getType == SqlBaseLexer.COMMA)
+      val items = (i +: commas.map(_ + 1)).zip(commas :+ end).map((item _).tupled)
+      val stripped = sql.substring(0, start(clause)) + " " + sql.substring(start(end))
+      Extraction(stripped, distinct, complete, items)
     }
   }
 }

@@ -1,6 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.parser.skyline.Bridge
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.core.Direction
@@ -57,8 +58,7 @@ object SkylineData {
                         fractions: Map[String, Double], seed: Long): DataFrame =
     if (fractions.isEmpty) {
       columns.foldLeft(df) { case (d, c) =>
-        d.withColumn(c,
-          org.apache.spark.sql.skyline.Bridge.assertNotNull(d.sparkSession, col(c)))
+        d.withColumn(c, Bridge.assertNotNull(d.sparkSession, col(c)))
       }
     } else columns.zipWithIndex.foldLeft(df) { case (d, (c, i)) =>
       fractions.get(c) match {

@@ -82,4 +82,14 @@ class NoSideEffectsSpec extends SparkSpec {
     Seq((1, 2)).toDF("skyline", "x").createOrReplaceTempView("nse_s")
     assert(spark.sql("SELECT skyline FROM nse_s").collect().head.getInt(0) == 1)
   }
+
+  test("skyline only inside a comment or a string parses as without the extension") {
+    val plain = new org.apache.spark.sql.execution.SparkSqlParser()
+    for (q <- Seq(
+        "SELECT 1 /* skyline of x min */",
+        "SELECT x FROM t -- SKYLINE OF x MIN",
+        "SELECT 'skyline of x min', x FROM t WHERE y = 'SKYLINE OF y MAX'")) {
+      assert(spark.sessionState.sqlParser.parsePlan(q) == plain.parsePlan(q), q)
+    }
+  }
 }

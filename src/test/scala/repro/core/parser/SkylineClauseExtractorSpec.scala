@@ -163,4 +163,55 @@ class SkylineClauseExtractorSpec extends AnyFunSuite {
     val e = ex("SELECT * FROM t SKYLINE OF CASE WHEN a > 0 THEN a ELSE 0 END MIN").get
     assert(e.items == Seq("CASE WHEN a > 0 THEN a ELSE 0 END" -> Min))
   }
+
+  test("raw string literal with a trailing backslash before the clause") {
+    val e = ex("SELECT r'C:\\' AS p, x FROM t SKYLINE OF x MIN").get
+    assert(e.items == Seq("x" -> Min))
+    assert(e.stripped.trim == "SELECT r'C:\\' AS p, x FROM t")
+  }
+
+  test("characters outside the BMP before the clause keep offsets right") {
+    val e = ex("SELECT '\uD83D\uDE00' AS s, x FROM t SKYLINE OF x + 1 MIN").get
+    assert(e.items == Seq("x + 1" -> Min))
+    assert(e.stripped.trim == "SELECT '\uD83D\uDE00' AS s, x FROM t")
+  }
+
+  test("tokens after a dimension's direction are rejected") {
+    val err = intercept[SkylineParseException] {
+      ex("SELECT * FROM t SKYLINE OF a MIN + 1")
+    }
+    assert(err.getMessage.contains("'a MIN + 1' must end with MIN, MAX or DIFF"))
+  }
+
+  test("clause inside a subquery is rejected as not top-level") {
+    val err = intercept[SkylineParseException] {
+      ex("SELECT * FROM (SELECT * FROM t SKYLINE OF a MIN) s")
+    }
+    assert(err.getMessage.contains("only supported at the top level"))
+  }
+
+  test("clause inside a CTE body is rejected as not top-level") {
+    val err = intercept[SkylineParseException] {
+      ex("WITH c AS (SELECT * FROM t SKYLINE OF a MIN) SELECT * FROM c")
+    }
+    assert(err.getMessage.contains("only supported at the top level"))
+  }
+
+  test("trailing semicolon ends the clause and stays in the stripped SQL") {
+    val e = ex("SELECT * FROM t SKYLINE OF a MIN, b MAX;").get
+    assert(e.items == Seq("a" -> Min, "b" -> Max))
+    assert(e.stripped == "SELECT * FROM t  ;")
+  }
+
+  test("unmatched parenthesis before the clause is left to Spark's parser") {
+    val e = ex("SELECT a) FROM t SKYLINE OF x MIN").get
+    assert(e.items == Seq("x" -> Min))
+  }
+
+  test("unmatched parenthesis inside the clause is rejected") {
+    val err = intercept[SkylineParseException] {
+      ex("SELECT * FROM t SKYLINE OF a MIN) ORDER BY a")
+    }
+    assert(err.getMessage.contains("must end with MIN, MAX or DIFF"))
+  }
 }

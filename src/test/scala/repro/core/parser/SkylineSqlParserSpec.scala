@@ -96,4 +96,24 @@ class SkylineSqlParserSpec extends SparkSpec {
       case a: org.apache.spark.sql.catalyst.plans.logical.Aggregate => a
     }.nonEmpty)
   }
+
+  test("raw string literal with a trailing backslash runs end to end") {
+    import spark.implicits._
+    Seq(2, 1, 3).toDF("x").createOrReplaceTempView("raw_t")
+    val rows = spark.sql("SELECT r'C:\\' AS p, x FROM raw_t SKYLINE OF x MIN").collect()
+    assert(rows.map(r => (r.getString(0), r.getInt(1))).toSeq == Seq(("C:\\", 1)))
+  }
+
+  test("statement ending with a semicolon after the clause runs end to end") {
+    import spark.implicits._
+    Seq((2, 1), (1, 2), (3, 3)).toDF("a", "b").createOrReplaceTempView("semi_t")
+    val rows = spark.sql("SELECT * FROM semi_t SKYLINE OF a MIN, b MIN;").collect()
+    assert(rows.map(r => (r.getInt(0), r.getInt(1))).toSet == Set((2, 1), (1, 2)))
+  }
+
+  test("unmatched parenthesis before the clause gets Spark's syntax error") {
+    intercept[org.apache.spark.sql.catalyst.parser.ParseException] {
+      parse("SELECT a) FROM t SKYLINE OF x MIN")
+    }
+  }
 }
