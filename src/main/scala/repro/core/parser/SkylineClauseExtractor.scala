@@ -7,52 +7,39 @@ import repro.core.Direction
 import scala.jdk.CollectionConverters._
 
 /** Raised for malformed SKYLINE OF clauses (missing direction keyword,
-  * empty dimension list, multiple or nested clauses, ...).
+  * empty dimension list, no SELECT or two clauses for one SELECT, ...).
   */
 class SkylineParseException(message: String) extends IllegalArgumentException(message)
 
-/** Splitter for the `SKYLINE OF` clause (Listing 5 grammar).
-  *
-  * The paper extends Spark's ANTLR grammar in-tree; against stock Spark the
-  * equivalent is to find a *top-level* skyline clause in the token stream of
-  * Spark's own SQL lexer, cut it out, and hand the remaining — now
-  * grammatically plain — SQL to Spark's own parser. Spark's lexer alone
-  * decides what is a string, a quoted identifier or a comment. Dimension
-  * expressions are parsed by Spark's expression parser, so arbitrary
-  * expressions (arithmetic, function calls, aggregates) are supported
-  * exactly as in the paper.
-  *
-  * Grammar handled (after a HAVING clause, before ORDER BY / LIMIT / set ops):
+/** Moves each `SKYLINE OF` clause (Listing 5 grammar) into a hint on the
+  * SELECT of its own query level, where Spark's grammar has a slot:
+  * {{{
+  *   SELECT a, b FROM t SKYLINE OF DISTINCT a MIN, b + c MAX
+  *   SELECT /*+ SKYLINE_OF(true, false, 'MIN', (a), 'MAX', (b + c)) */ a, b FROM t
+  * }}}
+  * The paper adds `skylineClause` to Spark's query specification in-tree
+  * (after HAVING, before ORDER BY); here Spark's own parser places the hint
+  * at that spot of every query level and parses the dimensions as ordinary
+  * expressions, and [[SkylineSqlParser]] turns it into a SkylineOperator.
+  * The clause is found in the token stream of Spark's own SQL lexer, so
+  * strings, quoted identifiers and comments are what Spark says they are.
   * {{{
   *   SKYLINE OF [DISTINCT] [COMPLETE] expr (MIN|MAX|DIFF) (',' expr (MIN|MAX|DIFF))*
   * }}}
-  *
-  * The clause is only supported at the top level of a query; inside
-  * parentheses (a subquery or a CTE body) it is rejected. Queries without
-  * the word SKYLINE are returned untouched (`None`) without being lexed —
-  * the "no side effects on other queries" property (§5.9).
   */
 object SkylineClauseExtractor {
 
-  /** A successfully extracted clause.
-    *
-    * @param stripped the input SQL with the skyline clause removed
-    * @param items    (raw dimension expression text, direction) pairs
-    */
-  final case class Extraction(
-      stripped: String,
-      distinct: Boolean,
-      complete: Boolean,
-      items: Seq[(String, Direction)])
+  /** The hint a clause becomes. */
+  val HintName = "SKYLINE_OF"
 
-  /** Clause keywords that terminate the dimension list. */
-  private val Terminators =
-    Set("ORDER", "LIMIT", "OFFSET", "UNION", "EXCEPT", "INTERSECT", "MINUS",
-        "SORT", "CLUSTER", "DISTRIBUTE", "WINDOW")
+  private val SetOperators = Set("UNION", "EXCEPT", "INTERSECT", "MINUS")
 
-  def extract(sql: String): Option[Extraction] = {
-    // Fast path: virtually every query lacks the keyword entirely.
-    if (!sql.toUpperCase.contains("SKYLINE")) return None
+  /** Clause keywords that terminate the dimension list after a direction. */
+  private val Terminators = SetOperators ++
+    Set("ORDER", "LIMIT", "OFFSET", "SORT", "CLUSTER", "DISTRIBUTE", "WINDOW", "SKYLINE")
+
+  /** `sql` with every clause moved into its SELECT's hint. */
+  def toHints(sql: String): String = {
     val tokens = Bridge.lexer(sql).getAllTokens.asScala
       .filter(_.getChannel == Token.DEFAULT_CHANNEL).toIndexedSeq
     // depth(i): parenthesis depth just before tokens(i)
@@ -65,10 +52,11 @@ object SkylineClauseExtractor {
     // Token positions count code points; `sql` is indexed by UTF-16 chars.
     def start(i: Int) =
       if (i < tokens.size) sql.offsetByCodePoints(0, tokens(i).getStartIndex) else sql.length
-    def text(from: Int, until: Int) =
-      sql.substring(start(from), sql.offsetByCodePoints(0, tokens(until - 1).getStopIndex + 1))
+    def stop(i: Int) = sql.offsetByCodePoints(0, tokens(i).getStopIndex + 1)
+    def text(from: Int, until: Int) = sql.substring(start(from), stop(until - 1))
 
-    def item(from: Int, until: Int): (String, Direction) = {
+    /** One dimension as the hint parameters `'DIR', (expr)`. */
+    def item(from: Int, until: Int): String = {
       if (from == until) {
         throw new SkylineParseException(s"skyline dimension at position ${start(from)} is empty")
       }
@@ -80,36 +68,55 @@ object SkylineClauseExtractor {
       if (from == until - 1) {
         throw new SkylineParseException(s"skyline dimension before '$dirText' has no expression")
       }
-      (text(from, until - 1), dir)
+      s"'${dir.sql}', (${text(from, until - 1)})"
     }
 
-    val clauses = tokens.indices.filter(i => is(i, "SKYLINE") && is(i + 1, "OF"))
-    if (clauses.exists(depth(_) > 0)) {
-      throw new SkylineParseException(
-        "SKYLINE OF is only supported at the top level of a query, " +
-          "not inside parentheses (a subquery or a CTE body)")
+    // (from, until, replacement, clause text) per edit. A clause after an
+    // unmatched `)` is left for Spark's parser to report.
+    val edits = tokens.indices.filter(i => is(i, "SKYLINE") && is(i + 1, "OF") && depth(i) >= 0)
+      .flatMap { clause =>
+        val d = depth(clause)
+        var i = clause + 2
+        val distinct = is(i, "DISTINCT")
+        if (distinct) i += 1
+        val complete = is(i, "COMPLETE")
+        if (complete) i += 1
+        // A trailing `;` stays in the SQL: Spark's statement rule accepts it.
+        val end = (i until tokens.size).find { j =>
+          depth(j) == d &&
+            (d > 0 && tokens(j).getType == SqlBaseLexer.RIGHT_PAREN ||
+              Direction.fromString(tokens(j - 1).getText).isDefined &&
+                (tokens(j).getType == SqlBaseLexer.SEMICOLON ||
+                  Terminators.contains(tokens(j).getText.toUpperCase)))
+        }.getOrElse(tokens.size)
+        val commas =
+          (i until end).filter(j => depth(j) == d && tokens(j).getType == SqlBaseLexer.COMMA)
+        val items = (i +: commas.map(_ + 1)).zip(commas :+ end).map((item _).tupled)
+        // The nearest SELECT at the clause's depth, not behind the group's `(` or a set operator
+        // (a set-operation word after * , . AS or SELECT is a star's EXCEPT or a column name).
+        val select = (clause - 1 to 0 by -1)
+          .find(j => depth(j) < d || depth(j) == d &&
+            (tokens(j).getType == SqlBaseLexer.SELECT || j > 0 &&
+              SetOperators.contains(tokens(j).getText.toUpperCase) &&
+              !Set("*", ",", ".", "AS", "SELECT").contains(tokens(j - 1).getText.toUpperCase)))
+          .filter(tokens(_).getType == SqlBaseLexer.SELECT)
+          .getOrElse(throw new SkylineParseException(
+            s"SKYLINE OF must follow a SELECT of the same query level: '${text(clause, end)}'"))
+        val hint = s" /*+ $HintName($distinct, $complete, ${items.mkString(", ")}) */"
+        Seq((start(select), stop(select), text(select, select + 1) + hint, text(clause, end)),
+          (start(clause), start(end), " ", text(clause, end)))
+      }
+
+    // Overlapping edits: two clauses for one SELECT, or a clause inside a dimension.
+    val out = new StringBuilder
+    val rest = edits.sortBy(_._1).foldLeft(0) { case (from, (at, until, piece, clause)) =>
+      if (at < from) {
+        throw new SkylineParseException(
+          s"one SKYLINE OF per SELECT, and none inside a skyline dimension: '$clause'")
+      }
+      out ++= sql.substring(from, at) ++= piece
+      until
     }
-    if (clauses.size > 1) {
-      throw new SkylineParseException(
-        "only one top-level SKYLINE OF clause is allowed per query")
-    }
-    clauses.headOption.map { clause =>
-      var i = clause + 2
-      val distinct = is(i, "DISTINCT")
-      if (distinct) i += 1
-      val complete = is(i, "COMPLETE")
-      if (complete) i += 1
-      // A trailing `;` stays in `stripped`: Spark's statement rule accepts it.
-      val end = (i until tokens.size).find { j =>
-        depth(j) == 0 &&
-          (tokens(j).getType == SqlBaseLexer.SEMICOLON ||
-            Terminators.contains(tokens(j).getText.toUpperCase))
-      }.getOrElse(tokens.size)
-      val commas =
-        (i until end).filter(j => depth(j) == 0 && tokens(j).getType == SqlBaseLexer.COMMA)
-      val items = (i +: commas.map(_ + 1)).zip(commas :+ end).map((item _).tupled)
-      val stripped = sql.substring(0, start(clause)) + " " + sql.substring(start(end))
-      Extraction(stripped, distinct, complete, items)
-    }
+    (out ++= sql.substring(rest)).toString
   }
 }

@@ -1,19 +1,20 @@
 package repro.core.parser
 
 import org.apache.spark.sql.catalyst.{FunctionIdentifier, TableIdentifier}
-import org.apache.spark.sql.catalyst.expressions.Expression
+import org.apache.spark.sql.catalyst.expressions.{Expression, Literal}
 import org.apache.spark.sql.catalyst.parser.ParserInterface
 import org.apache.spark.sql.catalyst.plans.logical._
 import org.apache.spark.sql.types.{DataType, StructType}
-import repro.core.{SkylineDimension, SkylineOperator}
+import repro.core.{Direction, SkylineDimension, SkylineOperator}
 
 /** Spark SQL parser with skyline support (§5.1).
   *
-  * Wraps the session's default parser: queries without a skyline clause go
-  * straight through; for skyline queries the clause is extracted, the
-  * remaining SQL is parsed by the delegate, and a [[SkylineOperator]] is
-  * inserted at the position the grammar dictates — after HAVING (i.e., above
-  * the fully built query body) but **below** ORDER BY / LIMIT / OFFSET.
+  * Wraps the session's default parser: queries without the word SKYLINE go
+  * straight through. For the others, [[SkylineClauseExtractor]] moves each
+  * clause into a `SKYLINE_OF` hint of its SELECT, so the delegate's grammar
+  * places it where the paper's grammar does: after HAVING, below ORDER BY /
+  * LIMIT / OFFSET, at every query level. Each such hint of the parsed plan,
+  * also one in a stored view's text, then becomes a [[SkylineOperator]].
   *
   * Installed via `SparkSessionExtensions.injectParser` (see
   * [[repro.core.SkylineExtensions]]).
@@ -25,35 +26,26 @@ class SkylineSqlParser(delegate: ParserInterface) extends ParserInterface {
   override def parseQuery(sqlText: String): LogicalPlan = rewrite(sqlText, delegate.parseQuery)
 
   private def rewrite(sqlText: String, parse: String => LogicalPlan): LogicalPlan =
-    SkylineClauseExtractor.extract(sqlText) match {
-      case None => parse(sqlText)
-      case Some(ex) =>
-        val dims = ex.items.map { case (text, dir) =>
-          SkylineDimension(delegate.parseExpression(text), dir)
-        }
-        insertSkyline(parse(ex.stripped), ex.distinct, ex.complete, dims)
-    }
+    if (!sqlText.toUpperCase.contains("SKYLINE")) parse(sqlText)
+    else toSkyline(parse(SkylineClauseExtractor.toHints(sqlText)))
 
-  /** Place the skyline below the ordering/limiting operators that
-    * syntactically follow it, and below a WITH clause's body wrapper.
+  /** Every skyline hint as a SkylineOperator, also in subqueries, in CTE
+    * bodies (inner children) and in the query an EXPLAIN supervises.
     */
-  private def insertSkyline(
-      plan: LogicalPlan,
-      distinct: Boolean,
-      complete: Boolean,
-      dims: Seq[SkylineDimension]): LogicalPlan = plan match {
-    case s: Sort =>
-      s.withNewChildren(Seq(insertSkyline(s.child, distinct, complete, dims)))
-    case l: GlobalLimit =>
-      l.withNewChildren(Seq(insertSkyline(l.child, distinct, complete, dims)))
-    case l: LocalLimit =>
-      l.withNewChildren(Seq(insertSkyline(l.child, distinct, complete, dims)))
-    case o: Offset =>
-      o.withNewChildren(Seq(insertSkyline(o.child, distinct, complete, dims)))
-    case w: UnresolvedWith =>
-      w.copy(child = insertSkyline(w.child, distinct, complete, dims))
-    case other =>
-      SkylineOperator(distinct, complete, dims, other)
+  private def toSkyline(plan: LogicalPlan): LogicalPlan = plan match {
+    case c: SupervisingCommand => c.withTransformedSupervisedPlan(toSkyline)
+    case _ => plan.transformUpWithSubqueries {
+      case w: UnresolvedWith =>
+        w.copy(cteRelations = w.cteRelations.map { case (name, body, depth) =>
+          (name, body.copy(child = toSkyline(body.child)), depth)
+        })
+      case UnresolvedHint(SkylineClauseExtractor.HintName,
+          Literal(distinct: Boolean, _) +: Literal(complete: Boolean, _) +: dims, child) =>
+        val dimensions = dims.grouped(2).map { case Seq(Literal(dir, _), e) =>
+          SkylineDimension(e, Direction.fromString(dir.toString).get)
+        }
+        SkylineOperator(distinct, complete, dimensions.toSeq, child)
+    }
   }
 
   // ---- everything else is delegated unchanged --------------------------

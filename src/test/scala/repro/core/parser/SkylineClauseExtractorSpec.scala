@@ -1,217 +1,301 @@
 package repro.core.parser
 
+import org.apache.spark.sql.catalyst.parser.ParseException
+import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, SubqueryAlias, Union, UnresolvedWith}
+import org.apache.spark.sql.execution.SparkSqlParser
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.SkylineOperator
 import repro.core.Direction.{Diff, Max, Min}
 
-/** Pure tests of the lexer-level SKYLINE OF clause splitter (Listing 5). */
+/** Pure tests of the SKYLINE OF clause (Listing 5): where the extractor moves
+  * each clause and what the session-free parser makes of it.
+  */
 class SkylineClauseExtractorSpec extends AnyFunSuite {
 
-  private def ex(sql: String) = SkylineClauseExtractor.extract(sql)
+  private val plain = new SparkSqlParser
+  private val parser = new SkylineSqlParser(plain)
+
+  private def hints(sql: String) = SkylineClauseExtractor.toHints(sql)
+
+  private def parse(sql: String) = parser.parsePlan(sql)
+
+  /** The one skyline node `sql` parses into. */
+  private def sky(sql: String): SkylineOperator = {
+    val nodes = parse(sql).collectWithSubqueries { case s: SkylineOperator => s }
+    assert(nodes.size == 1, sql)
+    nodes.head
+  }
+
+  /** The skyline's dimensions as (expression, direction). */
+  private def dims(sql: String) = sky(sql).dimensions.map(d => d.child -> d.direction)
+
+  private def e(text: String) = plain.parseExpression(text)
+
+  /** A plan printed without expression ids, which differ between parses. */
+  private def show(plan: LogicalPlan) = plan.treeString.replaceAll("#\\d+", "")
+
+  /** `sql`'s plan with the skyline node taken out, as the plain parser's
+    * plan of `rest` is.
+    */
+  private def assertRest(sql: String, rest: String) =
+    assert(show(parse(sql).transformUp { case s: SkylineOperator => s.child }) ==
+      show(plain.parsePlan(rest)))
 
   test("query without the keyword passes through untouched") {
-    assert(ex("SELECT * FROM t WHERE x > 1").isEmpty)
+    val q = "SELECT * FROM t WHERE x > 1"
+    assert(hints(q) == q)
   }
 
   test("basic clause with two dimensions") {
-    val e = ex("SELECT * FROM hotels SKYLINE OF price MIN, rating MAX").get
-    assert(!e.distinct && !e.complete)
-    assert(e.items == Seq("price" -> Min, "rating" -> Max))
-    assert(e.stripped.trim == "SELECT * FROM hotels")
+    val q = "SELECT * FROM hotels SKYLINE OF price MIN, rating MAX"
+    assert(!sky(q).distinct && !sky(q).complete)
+    assert(dims(q) == Seq(e("price") -> Min, e("rating") -> Max))
+    assertRest(q, "SELECT * FROM hotels")
   }
 
   test("keywords are case-insensitive") {
-    val e = ex("select * from t skyline of a min, b max, c diff").get
-    assert(e.items == Seq("a" -> Min, "b" -> Max, "c" -> Diff))
+    assert(dims("select * from t skyline of a min, b max, c diff") ==
+      Seq(e("a") -> Min, e("b") -> Max, e("c") -> Diff))
   }
 
   test("DISTINCT flag") {
-    val e = ex("SELECT * FROM t SKYLINE OF DISTINCT a MIN").get
-    assert(e.distinct && !e.complete)
+    val s = sky("SELECT * FROM t SKYLINE OF DISTINCT a MIN")
+    assert(s.distinct && !s.complete)
   }
 
   test("COMPLETE flag") {
-    val e = ex("SELECT * FROM t SKYLINE OF COMPLETE a MIN").get
-    assert(!e.distinct && e.complete)
+    val s = sky("SELECT * FROM t SKYLINE OF COMPLETE a MIN")
+    assert(!s.distinct && s.complete)
   }
 
   test("DISTINCT COMPLETE together") {
-    val e = ex("SELECT * FROM t SKYLINE OF DISTINCT COMPLETE a MIN, b MAX").get
-    assert(e.distinct && e.complete)
-    assert(e.items.size == 2)
+    val s = sky("SELECT * FROM t SKYLINE OF DISTINCT COMPLETE a MIN, b MAX")
+    assert(s.distinct && s.complete)
+    assert(s.dimensions.size == 2)
   }
 
   test("clause before ORDER BY keeps the suffix") {
-    val e = ex("SELECT * FROM t SKYLINE OF a MIN ORDER BY b DESC").get
-    assert(e.items == Seq("a" -> Min))
-    assert(e.stripped.replaceAll("\\s+", " ").trim == "SELECT * FROM t ORDER BY b DESC")
+    val q = "SELECT * FROM t SKYLINE OF a MIN ORDER BY b DESC"
+    assert(dims(q) == Seq(e("a") -> Min))
+    assertRest(q, "SELECT * FROM t ORDER BY b DESC")
   }
 
   test("clause before LIMIT keeps the suffix") {
-    val e = ex("SELECT * FROM t SKYLINE OF a MAX LIMIT 10").get
-    assert(e.stripped.replaceAll("\\s+", " ").trim == "SELECT * FROM t LIMIT 10")
+    assertRest("SELECT * FROM t SKYLINE OF a MAX LIMIT 10", "SELECT * FROM t LIMIT 10")
   }
 
   test("clause before ORDER BY ... LIMIT") {
-    val e = ex("SELECT * FROM t SKYLINE OF a MAX ORDER BY a LIMIT 5").get
-    assert(e.stripped.replaceAll("\\s+", " ").trim == "SELECT * FROM t ORDER BY a LIMIT 5")
+    assertRest("SELECT * FROM t SKYLINE OF a MAX ORDER BY a LIMIT 5",
+      "SELECT * FROM t ORDER BY a LIMIT 5")
   }
 
   test("expression dimensions with function calls and commas inside parens") {
-    val e = ex("SELECT * FROM t SKYLINE OF round(a, 2) MIN, b + c MAX").get
-    assert(e.items == Seq("round(a, 2)" -> Min, "b + c" -> Max))
+    assert(dims("SELECT * FROM t SKYLINE OF round(a, 2) MIN, b + c MAX") ==
+      Seq(e("round(a, 2)") -> Min, e("b + c") -> Max))
   }
 
   test("nested function calls in dimensions") {
-    val e = ex("SELECT * FROM t SKYLINE OF coalesce(a, least(b, c)) MIN").get
-    assert(e.items == Seq("coalesce(a, least(b, c))" -> Min))
+    assert(dims("SELECT * FROM t SKYLINE OF coalesce(a, least(b, c)) MIN") ==
+      Seq(e("coalesce(a, least(b, c))") -> Min))
   }
 
   test("aggregate expression dimension") {
-    val e = ex("SELECT k, sum(v) AS s FROM t GROUP BY k SKYLINE OF count(1) MAX").get
-    assert(e.items == Seq("count(1)" -> Max))
-    assert(e.stripped.replaceAll("\\s+", " ").trim ==
-      "SELECT k, sum(v) AS s FROM t GROUP BY k")
+    val q = "SELECT k, sum(v) AS s FROM t GROUP BY k SKYLINE OF count(1) MAX"
+    assert(dims(q) == Seq(e("count(1)") -> Max))
+    assertRest(q, "SELECT k, sum(v) AS s FROM t GROUP BY k")
   }
 
   test("skyline inside a string literal is ignored") {
-    assert(ex("SELECT 'SKYLINE OF x MIN' AS s FROM t").isEmpty)
+    val q = "SELECT 'SKYLINE OF x MIN' AS s FROM t"
+    assert(hints(q) == q)
   }
 
   test("skyline inside a line comment is ignored") {
-    assert(ex("SELECT * FROM t -- SKYLINE OF a MIN\nWHERE x = 1").isEmpty)
+    val q = "SELECT * FROM t -- SKYLINE OF a MIN\nWHERE x = 1"
+    assert(hints(q) == q)
   }
 
   test("skyline inside a block comment is ignored") {
-    assert(ex("SELECT * FROM t /* SKYLINE OF a MIN */ WHERE x = 1").isEmpty)
+    val q = "SELECT * FROM t /* SKYLINE OF a MIN */ WHERE x = 1"
+    assert(hints(q) == q)
   }
 
   test("nested block comments are handled") {
-    assert(ex("SELECT * FROM t /* outer /* SKYLINE OF a MIN */ still comment */").isEmpty)
+    val q = "SELECT * FROM t /* outer /* SKYLINE OF a MIN */ still comment */"
+    assert(hints(q) == q)
   }
 
   test("skyline inside a subquery (paren depth > 0) is not extracted at top level") {
-    assert(ex("SELECT * FROM (SELECT 1 AS a) x WHERE 'SKYLINE' = 'SKYLINE'").isEmpty)
+    val q = "SELECT * FROM (SELECT 1 AS a) x WHERE 'SKYLINE' = 'SKYLINE'"
+    assert(hints(q) == q)
   }
 
   test("identifier named skyline without OF is not a clause") {
-    assert(ex("SELECT skyline FROM t").isEmpty)
-    assert(ex("SELECT skyline, x FROM t WHERE skyline > 2").isEmpty)
+    assert(hints("SELECT skyline FROM t") == "SELECT skyline FROM t")
+    val q = "SELECT skyline, x FROM t WHERE skyline > 2"
+    assert(hints(q) == q)
   }
 
   test("column named skyline_of is not a clause") {
-    assert(ex("SELECT skyline_of FROM t").isEmpty)
+    assert(hints("SELECT skyline_of FROM t") == "SELECT skyline_of FROM t")
   }
 
   test("clause over a parenthesized subquery relation") {
-    val e = ex("SELECT * FROM (SELECT a, b FROM t) sub SKYLINE OF a MIN, b MAX").get
-    assert(e.items.size == 2)
-    assert(e.stripped.replaceAll("\\s+", " ").trim == "SELECT * FROM (SELECT a, b FROM t) sub")
+    val q = "SELECT * FROM (SELECT a, b FROM t) sub SKYLINE OF a MIN, b MAX"
+    assert(dims(q).size == 2)
+    assertRest(q, "SELECT * FROM (SELECT a, b FROM t) sub")
   }
 
   test("missing direction keyword is rejected") {
     val err = intercept[SkylineParseException] {
-      ex("SELECT * FROM t SKYLINE OF a, b MAX")
+      hints("SELECT * FROM t SKYLINE OF a, b MAX")
     }
     assert(err.getMessage.contains("MIN, MAX or DIFF"))
   }
 
   test("dangling direction without expression is rejected") {
     intercept[SkylineParseException] {
-      ex("SELECT * FROM t SKYLINE OF MIN")
+      hints("SELECT * FROM t SKYLINE OF MIN")
     }
   }
 
   test("empty dimension between commas is rejected") {
     intercept[SkylineParseException] {
-      ex("SELECT * FROM t SKYLINE OF a MIN, , b MAX")
+      hints("SELECT * FROM t SKYLINE OF a MIN, , b MAX")
     }
   }
 
   test("two top-level skyline clauses are rejected") {
-    intercept[SkylineParseException] {
-      ex("SELECT * FROM t SKYLINE OF a MIN SKYLINE OF b MAX")
+    val err = intercept[SkylineParseException] {
+      hints("SELECT * FROM t SKYLINE OF a MIN SKYLINE OF b MAX")
     }
+    assert(err.getMessage.contains("one SKYLINE OF per SELECT"))
+    assert(err.getMessage.contains("'SKYLINE OF b MAX'"))
   }
 
   test("whitespace and newlines inside the clause") {
-    val e = ex("SELECT * FROM t\n  SKYLINE   OF\n  a   MIN ,\n  b\tMAX\nORDER BY a").get
-    assert(e.items == Seq("a" -> Min, "b" -> Max))
+    assert(dims("SELECT * FROM t\n  SKYLINE   OF\n  a   MIN ,\n  b\tMAX\nORDER BY a") ==
+      Seq(e("a") -> Min, e("b") -> Max))
   }
 
   test("comments inside the clause are skipped") {
-    val e = ex("SELECT * FROM t SKYLINE OF -- dims\n a MIN, /* x */ b MAX").get
-    assert(e.items.map(_._2) == Seq(Min, Max))
+    val s = sky("SELECT * FROM t SKYLINE OF -- dims\n a MIN, /* x */ b MAX")
+    assert(s.dimensions.map(_.direction) == Seq(Min, Max))
   }
 
   test("backquoted identifiers in dimensions") {
-    val e = ex("SELECT * FROM t SKYLINE OF `my col` MIN").get
-    assert(e.items == Seq("`my col`" -> Min))
+    assert(dims("SELECT * FROM t SKYLINE OF `my col` MIN") == Seq(e("`my col`") -> Min))
   }
 
   test("UNION after the clause terminates it") {
-    val e = ex("SELECT * FROM t SKYLINE OF a MIN UNION SELECT * FROM u").get
-    assert(e.items == Seq("a" -> Min))
-    assert(e.stripped.replaceAll("\\s+", " ").contains("UNION SELECT * FROM u"))
+    val q = "SELECT * FROM t SKYLINE OF a MIN UNION SELECT * FROM u"
+    assert(dims(q) == Seq(e("a") -> Min))
+    assertRest(q, "SELECT * FROM t UNION SELECT * FROM u")
+    val union = parse(q).collectFirst { case u: Union => u }.get
+    assert(union.children.head.isInstanceOf[SkylineOperator])
   }
 
   test("qualified column names in dimensions") {
-    val e = ex("SELECT * FROM t SKYLINE OF t.a MIN, t.b MAX").get
-    assert(e.items == Seq("t.a" -> Min, "t.b" -> Max))
+    assert(dims("SELECT * FROM t SKYLINE OF t.a MIN, t.b MAX") ==
+      Seq(e("t.a") -> Min, e("t.b") -> Max))
   }
 
   test("CASE expression as a dimension") {
-    val e = ex("SELECT * FROM t SKYLINE OF CASE WHEN a > 0 THEN a ELSE 0 END MIN").get
-    assert(e.items == Seq("CASE WHEN a > 0 THEN a ELSE 0 END" -> Min))
+    assert(dims("SELECT * FROM t SKYLINE OF CASE WHEN a > 0 THEN a ELSE 0 END MIN") ==
+      Seq(e("CASE WHEN a > 0 THEN a ELSE 0 END") -> Min))
   }
 
   test("raw string literal with a trailing backslash before the clause") {
-    val e = ex("SELECT r'C:\\' AS p, x FROM t SKYLINE OF x MIN").get
-    assert(e.items == Seq("x" -> Min))
-    assert(e.stripped.trim == "SELECT r'C:\\' AS p, x FROM t")
+    val q = "SELECT r'C:\\' AS p, x FROM t SKYLINE OF x MIN"
+    assert(dims(q) == Seq(e("x") -> Min))
+    assertRest(q, "SELECT r'C:\\' AS p, x FROM t")
   }
 
   test("characters outside the BMP before the clause keep offsets right") {
-    val e = ex("SELECT '\uD83D\uDE00' AS s, x FROM t SKYLINE OF x + 1 MIN").get
-    assert(e.items == Seq("x + 1" -> Min))
-    assert(e.stripped.trim == "SELECT '\uD83D\uDE00' AS s, x FROM t")
+    val q = "SELECT '\uD83D\uDE00' AS s, x FROM t SKYLINE OF x + 1 MIN"
+    assert(dims(q) == Seq(e("x + 1") -> Min))
+    assertRest(q, "SELECT '\uD83D\uDE00' AS s, x FROM t")
   }
 
   test("tokens after a dimension's direction are rejected") {
     val err = intercept[SkylineParseException] {
-      ex("SELECT * FROM t SKYLINE OF a MIN + 1")
+      hints("SELECT * FROM t SKYLINE OF a MIN + 1")
     }
     assert(err.getMessage.contains("'a MIN + 1' must end with MIN, MAX or DIFF"))
   }
 
-  test("clause inside a subquery is rejected as not top-level") {
-    val err = intercept[SkylineParseException] {
-      ex("SELECT * FROM (SELECT * FROM t SKYLINE OF a MIN) s")
-    }
-    assert(err.getMessage.contains("only supported at the top level"))
+  test("clause inside a subquery is placed in that query level") {
+    val plan = parse("SELECT * FROM (SELECT * FROM t SKYLINE OF a MIN) s")
+    assert(plan.collectFirst { case s: SubqueryAlias => s.child }.get
+      .isInstanceOf[SkylineOperator])
+    assert(!plan.isInstanceOf[SkylineOperator])
   }
 
-  test("clause inside a CTE body is rejected as not top-level") {
-    val err = intercept[SkylineParseException] {
-      ex("WITH c AS (SELECT * FROM t SKYLINE OF a MIN) SELECT * FROM c")
-    }
-    assert(err.getMessage.contains("only supported at the top level"))
+  test("clause inside a CTE body is placed in that query level") {
+    val plan = parse("WITH c AS (SELECT * FROM t SKYLINE OF a MIN) SELECT * FROM c")
+    val w = plan.asInstanceOf[UnresolvedWith]
+    assert(w.cteRelations.head._2.child.isInstanceOf[SkylineOperator])
+    assert(w.child.collect { case s: SkylineOperator => s }.isEmpty)
   }
 
   test("trailing semicolon ends the clause and stays in the stripped SQL") {
-    val e = ex("SELECT * FROM t SKYLINE OF a MIN, b MAX;").get
-    assert(e.items == Seq("a" -> Min, "b" -> Max))
-    assert(e.stripped == "SELECT * FROM t  ;")
+    val q = "SELECT * FROM t SKYLINE OF a MIN, b MAX;"
+    assert(dims(q) == Seq(e("a") -> Min, e("b") -> Max))
+    assert(hints(q).endsWith(" FROM t  ;"))
+    assertRest(q, "SELECT * FROM t;")
   }
 
   test("unmatched parenthesis before the clause is left to Spark's parser") {
-    val e = ex("SELECT a) FROM t SKYLINE OF x MIN").get
-    assert(e.items == Seq("x" -> Min))
+    val q = "SELECT a) FROM t SKYLINE OF x MIN"
+    assert(hints(q) == q)
+    intercept[ParseException] { parse(q) }
   }
 
   test("unmatched parenthesis inside the clause is rejected") {
     val err = intercept[SkylineParseException] {
-      ex("SELECT * FROM t SKYLINE OF a MIN) ORDER BY a")
+      hints("SELECT * FROM t SKYLINE OF a MIN) ORDER BY a")
     }
     assert(err.getMessage.contains("must end with MIN, MAX or DIFF"))
+  }
+
+  test("the clause becomes a hint right after its SELECT") {
+    assert(hints("SELECT a, b FROM t SKYLINE OF DISTINCT a MIN, b + c MAX") ==
+      "SELECT /*+ SKYLINE_OF(true, false, 'MIN', (a), 'MAX', (b + c)) */ a, b FROM t  ")
+  }
+
+  test("dimensions named like clause keywords") {
+    assert(dims("SELECT * FROM t SKYLINE OF sort MIN, cluster MAX") ==
+      Seq(e("sort") -> Min, e("cluster") -> Max))
+    assert(dims("SELECT * FROM t SKYLINE OF t.limit MIN") == Seq(e("t.limit") -> Min))
+  }
+
+  test("a dimension holding a comment end marker in a string") {
+    assert(dims("SELECT * FROM t SKYLINE OF concat(a, '*/') MIN") ==
+      Seq(e("concat(a, '*/')") -> Min))
+  }
+
+  test("clause without a SELECT in its query level is rejected") {
+    for (q <- Seq(
+        "TABLE t SKYLINE OF a MIN",
+        "VALUES (1, 2), (2, 1) SKYLINE OF a MIN",
+        "(SELECT a FROM t) SKYLINE OF a MIN",
+        "SELECT a, b FROM t UNION (SELECT a, b FROM u) SKYLINE OF a MIN")) {
+      val err = intercept[SkylineParseException](hints(q))
+      assert(err.getMessage ==
+        "SKYLINE OF must follow a SELECT of the same query level: 'SKYLINE OF a MIN'", q)
+    }
+  }
+
+  test("clause inside a skyline dimension is rejected") {
+    val err = intercept[SkylineParseException] {
+      hints("SELECT * FROM t SKYLINE OF (SELECT max(x) FROM u SKYLINE OF x MIN) MIN")
+    }
+    assert(err.getMessage.contains("none inside a skyline dimension: 'SKYLINE OF x MIN'"))
+  }
+
+  test("a star's EXCEPT and columns named like set operators are not set operators") {
+    assert(dims("SELECT * EXCEPT (c) FROM t SKYLINE OF a MIN") == Seq(e("a") -> Min))
+    assert(dims("SELECT union, t.minus FROM t SKYLINE OF union MIN, t.minus MAX") ==
+      Seq(e("union") -> Min, e("t.minus") -> Max))
   }
 }

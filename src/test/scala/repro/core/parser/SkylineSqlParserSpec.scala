@@ -116,4 +116,57 @@ class SkylineSqlParserSpec extends SparkSpec {
       parse("SELECT a) FROM t SKYLINE OF x MIN")
     }
   }
+
+  test("a clause before UNION ALL applies to its own term only") {
+    import spark.implicits._
+    Seq((1, 1), (2, 2)).toDF("a", "b").createOrReplaceTempView("pt")
+    Seq((0, 0), (5, 5)).toDF("a", "b").createOrReplaceTempView("pu")
+    val rows = spark.sql(
+      "SELECT a, b FROM pt SKYLINE OF a MIN UNION ALL SELECT a, b FROM pu").collect()
+    assert(rows.map(r => (r.getInt(0), r.getInt(1))).toSet == Set((1, 1), (0, 0), (5, 5)))
+    assert(rows.length == 3)
+  }
+
+  test("EXPLAIN of a skyline query shows the skyline node") {
+    import spark.implicits._
+    Seq((2, 1), (1, 2), (3, 3)).toDF("a", "b").createOrReplaceTempView("explain_t")
+    val text = spark.sql("EXPLAIN SELECT * FROM explain_t SKYLINE OF a MIN, b MIN")
+      .collect().head.getString(0)
+    assert(text.contains("GlobalSkyline"), text)
+  }
+
+  test("a temporary view over a skyline query returns the skyline") {
+    import spark.implicits._
+    Seq((2, 1), (1, 2), (3, 3)).toDF("a", "b").createOrReplaceTempView("view_t")
+    spark.sql("CREATE OR REPLACE TEMP VIEW view_sky AS " +
+      "SELECT a, b FROM view_t SKYLINE OF a MIN, b MIN")
+    val rows = spark.sql("SELECT * FROM view_sky").collect()
+    assert(rows.map(r => (r.getInt(0), r.getInt(1))).toSet == Set((2, 1), (1, 2)))
+  }
+
+  test("the skyline does not depend on hint resolution (disableHints)") {
+    import spark.implicits._
+    Seq((2, 1), (1, 2), (3, 3)).toDF("a", "b").createOrReplaceTempView("nohint_t")
+    spark.conf.set("spark.sql.optimizer.disableHints", "true")
+    try {
+      val rows = spark.sql("SELECT * FROM nohint_t SKYLINE OF a MIN, b MIN").collect()
+      assert(rows.map(r => (r.getInt(0), r.getInt(1))).toSet == Set((2, 1), (1, 2)))
+    } finally spark.conf.unset("spark.sql.optimizer.disableHints")
+  }
+
+  test("dimensions named like clause keywords run end to end") {
+    import spark.implicits._
+    Seq((1, 3), (2, 4), (3, 1)).toDF("limit", "sort").createOrReplaceTempView("kw_t")
+    val rows = spark.sql(
+      "SELECT t.limit, sort FROM kw_t t SKYLINE OF t.limit MIN, sort MAX").collect()
+    assert(rows.map(r => (r.getInt(0), r.getInt(1))).toSet == Set((1, 3), (2, 4)))
+  }
+
+  test("a star's EXCEPT before the clause runs end to end") {
+    import spark.implicits._
+    Seq((2, 1, 9), (1, 2, 9), (3, 3, 9)).toDF("a", "b", "c").createOrReplaceTempView("star_t")
+    val rows = spark.sql("SELECT * EXCEPT (c) FROM star_t SKYLINE OF a MIN, b MIN").collect()
+    assert(rows.map(r => (r.getInt(0), r.getInt(1))).toSet == Set((2, 1), (1, 2)))
+    assert(rows.head.length == 2)
+  }
 }
