@@ -29,7 +29,7 @@ import org.apache.spark.sql.types.DataType
   */
 final class DominanceChecker(
     val types: Array[DataType],
-    dirs: Array[Direction],
+    val dirs: Array[Direction],
     val incomplete: Boolean)
     extends Serializable {
 

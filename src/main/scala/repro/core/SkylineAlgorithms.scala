@@ -156,6 +156,159 @@ object SkylineAlgorithms {
     kept.iterator.map(payloads)
   }
 
+  /** Group size at or below which [[pivotMerge]] runs BNL instead of
+    * splitting the group again.
+    */
+  final val MergeLeafSize = 64
+
+  /** Merge of local skylines: the global step of a distributed complete
+    * plan, whose input is the union of the local steps' survivors, most of
+    * them incomparable. Pivot partitioning after BSkyTree (Lee and Hwang,
+    * EDBT 2010): [[KeyStore.pivotMasks]] gives every tuple a mask of the
+    * dimensions on which it is worse than the per-dimension medians, and a
+    * tuple can dominate another only if its mask is a subset of the
+    * other's. The tuples are grouped by mask and the groups visited in
+    * popcount order, so every subset group comes first. Each group's
+    * skyline is found the same way inside the group (BNL at or below
+    * [[MergeLeafSize]] or when the masks do not split the group); then a
+    * survivor that a survivor of a subset group dominates is dropped. Only
+    * subset groups can dominate, so that test is one-directional, and every
+    * group's survivors are final. Exact ties share a mask, so DISTINCT is
+    * settled inside a group.
+    *
+    * Unlike [[bnl]] this buffers the whole input, so it is not used where
+    * the global node sees the whole table.
+    */
+  def pivotMerge[P](
+      rows: Iterator[P],
+      dims: P => InternalRow,
+      keys: KeyStore,
+      distinct: Boolean,
+      own: P => P): Iterator[P] = {
+    val payloads = ArrayBuffer.empty[P]
+    while (rows.hasNext) {
+      val p = rows.next()
+      keys.reserve(payloads.length + 1)
+      keys.write(dims(p), payloads.length)
+      payloads += own(p)
+    }
+    val merge = new PivotMerge(keys, distinct, payloads.length)
+    val kept = merge.skyline(0, payloads.length)
+    merge.slots.iterator.take(kept).map(payloads)
+  }
+
+  /** The recursion of [[pivotMerge]] over a permutation of store slots. */
+  private final class PivotMerge(keys: KeyStore, distinct: Boolean, n: Int) {
+    val slots: Array[Int] = Array.range(0, n)
+    private val masks = new Array[Long](n)
+
+    /** Moves the skyline of `slots(from until until)` to the front of that
+      * range and returns its size.
+      */
+    def skyline(from: Int, until: Int): Int = {
+      if (until - from <= MergeLeafSize) return bnl(from, until)
+      keys.pivotMasks(slots, from, until, masks)
+      val (groupMasks, starts) = group(from, until)
+      val groups = groupMasks.length
+      if (groups == 1) return bnl(from, until)
+      // survivors of group g end up in slots(keptFrom(g) until keptFrom(g + 1))
+      val keptFrom = new Array[Int](groups + 1)
+      keptFrom(0) = from
+      val subsets = new Array[Int](groups)
+      var g = 0
+      while (g < groups) {
+        val mg = groupMasks(g)
+        var s = 0
+        var h = 0
+        while (h < g) {
+          if ((groupMasks(h) & ~mg) == 0L) { subsets(s) = h; s += 1 }
+          h += 1
+        }
+        val survivors = skyline(starts(g), starts(g + 1))
+        var out = keptFrom(g)
+        var j = starts(g)
+        while (j < starts(g) + survivors) {
+          val t = slots(j)
+          if (!dominatedIn(subsets, s, keptFrom, t)) { slots(out) = t; out += 1 }
+          j += 1
+        }
+        keptFrom(g + 1) = out
+        g += 1
+      }
+      keptFrom(groups) - from
+    }
+
+    /** Does a survivor of one of the groups `subsets(0 until count)`
+      * dominate slot `t`?
+      */
+    private def dominatedIn(subsets: Array[Int], count: Int, keptFrom: Array[Int], t: Int): Boolean = {
+      var i = 0
+      while (i < count) {
+        val h = subsets(i)
+        var q = keptFrom(h)
+        while (q < keptFrom(h + 1)) {
+          if (keys.dominates(slots(q), t)) return true
+          q += 1
+        }
+        i += 1
+      }
+      false
+    }
+
+    /** Sorts `slots(from until until)` into groups of equal mask, in
+      * popcount order; returns each group's mask and the group starts (one
+      * more than the groups, ending at `until`).
+      */
+    private def group(from: Int, until: Int): (Array[Long], Array[Int]) = {
+      val groupOf = mutable.LongMap.empty[Int]
+      var j = from
+      while (j < until) { groupOf.getOrElseUpdate(masks(j), groupOf.size); j += 1 }
+      val groupMasks = groupOf.keys.toArray.sortBy(java.lang.Long.bitCount)
+      groupMasks.indices.foreach(g => groupOf(groupMasks(g)) = g)
+      // counting sort of the slots by group
+      val starts = new Array[Int](groupMasks.length + 1)
+      j = from
+      while (j < until) { starts(groupOf(masks(j)) + 1) += 1; j += 1 }
+      starts(0) = from
+      for (g <- 1 to groupMasks.length) starts(g) += starts(g - 1)
+      val next = starts.clone()
+      val sorted = new Array[Int](until - from)
+      j = from
+      while (j < until) {
+        val g = groupOf(masks(j))
+        sorted(next(g) - from) = slots(j)
+        next(g) += 1
+        j += 1
+      }
+      System.arraycopy(sorted, 0, slots, from, until - from)
+      (groupMasks, starts)
+    }
+
+    /** The [[Window]] of [[bnl]] over `slots(from until until)`, in place. */
+    private def bnl(from: Int, until: Int): Int = {
+      var n = 0
+      var j = from
+      while (j < until) {
+        val c = slots(j)
+        var m = n
+        var i = 0
+        var dropped = false
+        while (i < m && !dropped) {
+          val r = keys.relate(slots(from + i), c)
+          if (r == KeyStore.FirstDominates || (distinct && r == KeyStore.Equal)) dropped = true
+          else if (r == KeyStore.SecondDominates) {
+            m -= 1
+            slots(from + i) = slots(from + m)
+          } else i += 1
+        }
+        if (!dropped) { slots(from + m) = c; m += 1 }
+        n = m
+        j += 1
+      }
+      n
+    }
+  }
+
   // ---- (payload, dimValues) pairs over a DominanceChecker -----------------
 
   private def valuesRow[T](t: (T, Array[Any])): InternalRow = new GenericInternalRow(t._2)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.catalyst.expressions.{Expression, UnaryExpression, Unevaluable}
+import org.apache.spark.sql.catalyst.trees.TreeNodeTag
 import org.apache.spark.sql.types.DataType
 
 /** A single skyline dimension: an arbitrary expression over the child
@@ -26,4 +27,13 @@ case class SkylineDimension(child: Expression, direction: Direction)
 
   override protected def withNewChildInternal(newChild: Expression): SkylineDimension =
     copy(child = newChild)
+}
+
+object SkylineDimension {
+
+  /** The dimension's expression as the parser produced it, before any
+    * resolution. Tags survive `withNewChildren`, so the analyzer can resolve
+    * a dimension again after Spark bound it to an outer query.
+    */
+  val Parsed: TreeNodeTag[Expression] = TreeNodeTag[Expression]("skyline.parsedDimension")
 }

@@ -18,6 +18,20 @@ abstract class KeyStore {
     */
   def relate(a: Int, b: Int): Int
 
+  /** Does slot `a` dominate slot `b`? One direction only: it stops at the
+    * first dimension where `a` is worse or a DIFF value differs.
+    */
+  def dominates(a: Int, b: Int): Boolean
+
+  /** The pivot step of [[SkylineAlgorithms.pivotMerge]], for complete
+    * dominance. Over the slots `slots(from until until)`, each MIN/MAX
+    * dimension's median is a threshold; `masks(j)` gets one bit for each
+    * dimension on which slot `slots(j)` is worse than that threshold. Nulls
+    * sit first in each dimension's own order, as in [[relate]], so if slot
+    * a dominates slot b then the bits of a are a subset of those of b.
+    */
+  def pivotMasks(slots: Array[Int], from: Int, until: Int, masks: Array[Long]): Unit
+
   /** Write the key of `dims` (one field per dimension, in dimension order)
     * into `slot`. The slot keeps no reference into `dims`, which may be a
     * reused buffer.
@@ -170,6 +184,66 @@ final class LongKeys(types: Array[DataType], dirs: Array[Direction], incomplete:
     r
   }
 
+  override def dominates(a: Int, b: Int): Boolean = {
+    val ma = masks(a)
+    val mb = masks(b)
+    if (ma != mb) return relateNulls(a * arity, b * arity, ma, mb) == FirstDominates
+    val k = keys
+    val oa = a * arity
+    val ob = b * arity
+    var p = 0
+    while (p < diffs) {
+      if (k(oa + p) != k(ob + p)) return false
+      p += 1
+    }
+    var strict = false
+    while (p < arity) {
+      val x = k(oa + p)
+      val y = k(ob + p)
+      if (x > y) return false
+      strict |= x < y
+      p += 1
+    }
+    strict
+  }
+
+  override def pivotMasks(slots: Array[Int], from: Int, until: Int, out: Array[Long]): Unit = {
+    require(!incomplete, "pivot masks order complete dominance only")
+    java.util.Arrays.fill(out, from, until, 0L)
+    val n = until - from
+    val m = n / 2 // the median's rank, best first
+    val sorted = new Array[Long](n)
+    var p = diffs
+    while (p < arity) {
+      var c = 0
+      var j = from
+      while (j < until) {
+        val o = slots(j)
+        if ((masks(o) >>> p & 1L) == 0) { sorted(c) = keys(o * arity + p); c += 1 }
+        j += 1
+      }
+      java.util.Arrays.sort(sorted, 0, c)
+      // nulls are the smallest values: best under MIN, worst under MAX,
+      // whose keys are stored reversed
+      val nullsBest = flips(p) == 0L
+      val nulls = n - c
+      val nullThreshold = if (nullsBest) m < nulls else m >= c
+      val threshold = if (nullThreshold) 0L else sorted(if (nullsBest) m - nulls else m)
+      j = from
+      while (j < until) {
+        val o = slots(j)
+        val isNull = (masks(o) >>> p & 1L) != 0
+        val worse =
+          if (isNull) !nullsBest && !nullThreshold
+          else if (nullThreshold) nullsBest
+          else keys(o * arity + p) > threshold
+        if (worse) out(j) |= 1L << p
+        j += 1
+      }
+      p += 1
+    }
+  }
+
   /** [[relate]] for two slots with different null positions. */
   private def relateNulls(oa: Int, ob: Int, ma: Long, mb: Long): Int = {
     var r = Equal
@@ -257,6 +331,42 @@ final class GenericKeys(checker: DominanceChecker) extends KeyStore {
   override def move(from: Int, to: Int): Unit = values(to) = values(from)
 
   override def relate(a: Int, b: Int): Int = checker.relate(values(a), values(b))
+
+  override def dominates(a: Int, b: Int): Boolean = checker.dominates(values(a), values(b))
+
+  /** One bit for each of the first 64 MIN/MAX dimensions; the others get
+    * none, which only weakens the pruning.
+    */
+  override def pivotMasks(slots: Array[Int], from: Int, until: Int, out: Array[Long]): Unit = {
+    require(!checker.incomplete, "pivot masks order complete dominance only")
+    java.util.Arrays.fill(out, from, until, 0L)
+    val n = until - from
+    val column = new Array[AnyRef](n)
+    var bit = 0
+    var i = 0
+    while (i < checker.arity && bit < 64) {
+      val dir = checker.dirs(i)
+      if (dir != Direction.Diff) {
+        val d = i
+        var j = 0
+        while (j < n) { column(j) = values(slots(from + j))(d).asInstanceOf[AnyRef]; j += 1 }
+        // nulls first, as in DominanceChecker.relate
+        val order: java.util.Comparator[AnyRef] = (x, y) => checker.compareValues(d, x, y)
+        java.util.Arrays.sort(column, 0, n, order)
+        // "worse" is larger under MIN and smaller under MAX
+        val sign = if (dir == Direction.Min) 1 else -1
+        val median = column(if (sign > 0) n / 2 else n - 1 - n / 2)
+        j = 0
+        while (j < n) {
+          if (sign * checker.compareValues(d, values(slots(from + j))(d), median) > 0)
+            out(from + j) |= 1L << bit
+          j += 1
+        }
+        bit += 1
+      }
+      i += 1
+    }
+  }
 }
 
 object GenericKeys {

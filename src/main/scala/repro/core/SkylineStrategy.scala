@@ -59,9 +59,10 @@ case class SkylineStrategy(session: SparkSession) extends SparkStrategy {
           }
           val input = planLater(child)
           val local =
-            if (distributed) SkylineExec(dims, distinct, incomplete, global = false, input)
+            if (distributed) SkylineExec(dims, distinct, incomplete, global = false, merge = false, input)
             else input
-          SkylineExec(dims, distinct, incomplete, global = true, local)
+          SkylineExec(dims, distinct, incomplete, global = true,
+            merge = distributed && !incomplete, local)
         }
       planned :: Nil
     case _ => Nil

@@ -42,7 +42,9 @@ class SkylineSqlParser(delegate: ParserInterface) extends ParserInterface {
       case UnresolvedHint(SkylineClauseExtractor.HintName,
           Literal(distinct: Boolean, _) +: Literal(complete: Boolean, _) +: dims, child) =>
         val dimensions = dims.grouped(2).map { case Seq(Literal(dir, _), e) =>
-          SkylineDimension(e, Direction.fromString(dir.toString).get)
+          val dim = SkylineDimension(e, Direction.fromString(dir.toString).get)
+          dim.setTagValue(SkylineDimension.Parsed, e)
+          dim
         }
         SkylineOperator(distinct, complete, dimensions.toSeq, child)
     }

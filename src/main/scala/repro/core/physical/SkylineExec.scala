@@ -18,12 +18,15 @@ import repro.core.{SkylineAlgorithms, SkylineDimension, SkylineKeys}
   *    whatever partitioning the child produced is kept, preserving locality
   *    and avoiding an extra shuffle.
   *  - `GlobalSkyline` (complete, global): requires `AllTuples` so that every
-  *    surviving tuple — normally the union of the local skylines — is
-  *    processed by one task; the planner's EnsureRequirements inserts the
-  *    single-partition exchange. The algorithm is the same BNL as the local
-  *    step (the paper reuses the node logic; only the distribution differs).
-  *    Used directly on the child for the "non-distributed complete"
-  *    algorithm of §6.3.
+  *    surviving tuple is processed by one task; the planner's
+  *    EnsureRequirements inserts the single-partition exchange. With `merge`
+  *    set its input is the union of the local skylines, and
+  *    [[SkylineAlgorithms.pivotMerge]] merges it. Departure from the paper,
+  *    whose global step is the same BNL as the local one: most of that union
+  *    is incomparable, and the pivot masks skip most of BNL's pairs. Without
+  *    `merge` (the "non-distributed complete" algorithm of §6.3, directly on
+  *    the child) it streams the whole table through BNL, which keeps only
+  *    the window in memory.
   *  - `IncompleteLocalSkyline`: requires a `ClusteredDistribution` on the
   *    null-indicators of the dimensions (`IsNull(dim)` per dimension) — the
   *    paper's bitmap partitioning, crafted "using the predefined IsNull()
@@ -51,8 +54,11 @@ case class SkylineExec(
     distinct: Boolean,
     incomplete: Boolean,
     global: Boolean,
+    merge: Boolean,
     child: SparkPlan)
     extends UnaryExecNode {
+
+  require(!merge || (global && !incomplete), "only a complete global node merges local skylines")
 
   override def nodeName: String =
     (if (incomplete) "Incomplete" else "") + (if (global) "GlobalSkyline" else "LocalSkyline")
@@ -68,7 +74,7 @@ case class SkylineExec(
 
   private def keys: SkylineKeys = SkylineKeys(dimensions, incomplete)
 
-  // the flags are already in the node name
+  // the flags are already in the node name, and `merge` in the local node below
   override protected def stringArgs: Iterator[Any] = Iterator(dimensions, distinct)
 
   override def simpleString(maxFields: Int): String =
@@ -77,7 +83,7 @@ case class SkylineExec(
   override protected def doExecute(): RDD[InternalRow] = {
     val bound = SkylineExecUtil.bind(dimensions, child.output)
     val ks = keys
-    val (dist, incompleteMode, globalMode) = (distinct, incomplete, global)
+    val (dist, incompleteMode, globalMode, mergeMode) = (distinct, incomplete, global, merge)
     val arity = dimensions.length
     // the input rows are reused buffers: a kernel keeps a row only as a copy
     val copyRow: InternalRow => InternalRow = _.copy()
@@ -85,7 +91,9 @@ case class SkylineExec(
       { (idx, iter) =>
         SkylineExecUtil.initExprs(bound, idx)
         val dims: InternalRow => InternalRow = new DimensionRow(bound).of
-        if (!incompleteMode)
+        if (mergeMode)
+          SkylineAlgorithms.pivotMerge(iter, dims, ks.newStore(), dist, copyRow)
+        else if (!incompleteMode)
           SkylineAlgorithms.bnl(iter, dims, ks.newStore(), dist, copyRow).iterator
         else if (globalMode)
           SkylineAlgorithms.allPairsDeferred(iter, dims, ks.newStore(), dist, copyRow)

@@ -1,8 +1,8 @@
 package repro.core.rules
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.catalyst.analysis.UnresolvedAttribute
-import org.apache.spark.sql.catalyst.expressions.{Alias, Attribute, Expression, NamedExpression}
+import org.apache.spark.sql.catalyst.analysis.{AnalysisErrorAt, UnresolvedAttribute}
+import org.apache.spark.sql.catalyst.expressions.{Alias, Attribute, Expression, NamedExpression, OuterReference}
 import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Filter, LogicalPlan, Project}
 import org.apache.spark.sql.catalyst.rules.Rule
 import repro.core.{SkylineDimension, SkylineOperator}
@@ -19,6 +19,13 @@ import repro.core.{SkylineDimension, SkylineOperator}
   *     is not in the child Project. The missing attributes are appended to
   *     the projection, the skyline is computed over the widened child, and a
   *     final Project restores the original output.
+  *
+  *     In a subquery Spark binds such a dimension to a column of the outer
+  *     query before this rule runs; the dimension is then resolved again
+  *     from its parsed expression ([[SkylineDimension.Parsed]]) against the
+  *     projection and its child first, like Spark's own Sort does. A
+  *     dimension that still names the outer query is rejected: Spark cannot
+  *     decorrelate a skyline.
   *
   *  2. **Aggregate dimensions** (Listing 7):
   *     `SELECT cat, sum(price) AS s FROM t GROUP BY cat SKYLINE OF count(*) MAX`
@@ -60,7 +67,10 @@ case class ResolveSkyline(session: SparkSession) extends Rule[LogicalPlan] {
     * an expression, yet only evaluable inside the child Aggregate).
     */
   private def needsRewrite(sky: SkylineOperator): Boolean =
-    !sky.resolved || sky.dimensions.exists(containsAggregate)
+    !sky.resolved || sky.dimensions.exists(d => containsAggregate(d) || containsOuter(d))
+
+  private def containsOuter(dim: SkylineDimension): Boolean =
+    dim.child.exists(_.isInstanceOf[OuterReference])
 
   private def containsAggregate(dim: SkylineDimension): Boolean =
     dim.child.exists(_.isInstanceOf[
@@ -94,9 +104,11 @@ case class ResolveSkyline(session: SparkSession) extends Rule[LogicalPlan] {
   /** Listing 6: allow dimensions not present in the projection. */
   private def rewriteProject(sky: SkylineOperator, p: Project): LogicalPlan = {
     val newDims = sky.dimensions.map { dim =>
-      if (dim.child.resolved) dim
-      else dim.copy(child = resolveAgainst(dim.child, Seq(p, p.child)))
+      if (!dim.child.resolved) dim.copy(child = resolveAgainst(dim.child, Seq(p, p.child)))
+      else if (containsOuter(dim)) resolveInnerFirst(dim, p)
+      else dim
     }
+    failOnOuter(sky, newDims)
     // Attributes the dimensions need that the projection does not provide.
     val missing: Seq[Attribute] = newDims
       .flatMap(_.child.collect {
@@ -111,6 +123,23 @@ case class ResolveSkyline(session: SparkSession) extends Rule[LogicalPlan] {
     }
   }
 
+  /** A dimension Spark bound to the outer query, resolved again from its
+    * parsed expression against `p` and its child; unchanged unless that
+    * resolves every column it names.
+    */
+  private def resolveInnerFirst(dim: SkylineDimension, p: Project): SkylineDimension =
+    dim.getTagValue(SkylineDimension.Parsed)
+      .map(resolveAgainst(_, Seq(p, p.child)))
+      .filterNot(_.exists(_.isInstanceOf[UnresolvedAttribute]))
+      .fold(dim)(e => dim.copy(child = e))
+
+  private def failOnOuter(sky: SkylineOperator, dims: Seq[SkylineDimension]): Unit = {
+    val outer = dims.filter(containsOuter)
+    if (outer.nonEmpty) sky.failAnalysis(
+      errorClass = "UNSUPPORTED_SUBQUERY_EXPRESSION_CATEGORY.CORRELATED_REFERENCE",
+      messageParameters = Map("sqlExprs" -> outer.map(_.sql).mkString(", ")))
+  }
+
   /** Listing 7: propagate aggregate dimensions into the child Aggregate. */
   private def rewriteAggregate(
       sky: SkylineOperator,
@@ -122,6 +151,7 @@ case class ResolveSkyline(session: SparkSession) extends Rule[LogicalPlan] {
       if (dim.child.resolved) dim
       else dim.copy(child = resolveAgainst(dim.child, Seq(sky.child)))
     }
+    failOnOuter(sky, attempted)
     val pending = attempted.zipWithIndex.filter { case (dim, _) =>
       !dim.child.resolved || containsAggregate(dim)
     }

@@ -138,6 +138,8 @@ class SkylineKeysSpec extends AnyFunSuite {
           s"${a._2.toSeq} vs ${b._2.toSeq}"
         assert(long.relate(a._1, b._1) == expected, hint)
         assert(generic.relate(a._1, b._1) == expected, hint)
+        assert(long.dominates(a._1, b._1) == (expected == KeyStore.FirstDominates), hint)
+        assert(generic.dominates(a._1, b._1) == (expected == KeyStore.FirstDominates), hint)
       }
     }
   }

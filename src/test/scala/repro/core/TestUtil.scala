@@ -27,6 +27,30 @@ object TestUtil {
     allPhysicalNodes(df.queryExecution.executedPlan)
   }
 
+  /** Seeded anti-correlated points in [0, 1]^dims (Börzsönyi, Kossmann and
+    * Stocker, "The Skyline Operator", ICDE 2001): each starts on the
+    * diagonal near 0.5 and random amounts move between neighbouring
+    * coordinates, so the coordinate sum stays near dims / 2 and most points
+    * are mutually incomparable. A point leaving the cube is drawn again.
+    */
+  def antiCorrelated(n: Int, dims: Int, seed: Long): Seq[Array[Double]] = {
+    val rnd = new scala.util.Random(seed)
+    Seq.fill(n) {
+      var x: Array[Double] = null
+      while (x == null || !x.forall(c => c >= 0.0 && c <= 1.0)) {
+        val v = 0.5 + 0.01 * rnd.nextGaussian()
+        val l = math.max(0.0, math.min(v, 1.0 - v))
+        x = Array.fill(dims)(v)
+        for (i <- 0 until dims) {
+          val h = -l + 2 * l * rnd.nextDouble()
+          x(i) += h
+          x((i + 1) % dims) -= h
+        }
+      }
+      x
+    }
+  }
+
   /** Normalize a row for multiset comparison: all numerics as Double. */
   def norm(r: Row): Seq[Any] = r.toSeq.map {
     case n: Number => n.doubleValue()

@@ -1,6 +1,6 @@
 package repro.core.parser
 
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{AnalysisException, Row}
 import repro.SparkSpec
 import repro.core.Direction
 import repro.core.Direction.{Max, Min}
@@ -47,6 +47,36 @@ class SkylineQueryLevelSpec extends SparkSpec {
     check(
       "SELECT * FROM lvl_t WHERE (a, b) IN (SELECT a, b FROM lvl_t SKYLINE OF a MIN, b MAX)",
       rows.filter(r => front(Row(r.getInt(1), r.getInt(2)))))
+  }
+
+  test("a dimension missing from a subquery's SELECT list resolves inside the subquery") {
+    val front = sky(rows, "a" -> Min, "b" -> Min).map(_.getInt(1)).toSet
+    check("SELECT * FROM lvl_t WHERE a IN (SELECT a FROM lvl_t SKYLINE OF a MIN, b MIN)",
+      rows.filter(r => front(r.getInt(1))))
+  }
+
+  test("with an aliased outer table, missing dimensions resolve inside the subquery") {
+    val front = sky(uRows, "b" -> Min, "c" -> Max).map(_.getInt(1)).toSet
+    check("SELECT * FROM lvl_t o WHERE o.a IN (SELECT a FROM lvl_u SKYLINE OF b MIN, c MAX)",
+      rows.filter(r => front(r.getInt(1))))
+  }
+
+  test("an expression dimension over columns missing from a subquery's SELECT list") {
+    val withDiff = rows.map(r => Row(r.getInt(0), r.getInt(1), math.abs(r.getInt(2) - r.getInt(3))))
+    val front = BruteForce.skyline(withDiff, Seq(1 -> Min, 2 -> Min), incomplete = false)
+      .map(_.getInt(1)).toSet
+    check("SELECT * FROM lvl_t WHERE a IN (SELECT a FROM lvl_t SKYLINE OF a MIN, abs(b - c) MIN)",
+      rows.filter(r => front(r.getInt(1))))
+  }
+
+  test("a dimension that names the outer query fails loudly") {
+    setup
+    val e = intercept[AnalysisException] {
+      spark.sql("SELECT * FROM lvl_t o WHERE o.a IN (SELECT a FROM lvl_u SKYLINE OF o.b MIN, c MAX)")
+        .collect()
+    }
+    assert(e.getMessage.contains("referencing the outer query") && e.getMessage.contains("o.b"),
+      e.getMessage)
   }
 
   test("skyline in a CTE body, filtered by the outer query") {

@@ -4,9 +4,10 @@ import org.apache.spark.sql.catalyst.expressions.IsNull
 import org.apache.spark.sql.catalyst.plans.physical.{AllTuples, ClusteredDistribution, UnspecifiedDistribution}
 import org.apache.spark.sql.execution.SparkPlan
 import repro.SparkSpec
-import repro.core.{Direction, SkylineConf, TestUtil}
+import repro.core.{Direction, SkylineAlgorithms, SkylineConf, TestUtil}
 import repro.core.api._
 import repro.data.SkylineData
+import repro.reference.BruteForce
 
 /** Execution tests for the skyline physical operators: every forced
   * algorithm against the definitional brute-force oracle, on complete and
@@ -177,6 +178,38 @@ class PhysicalSkylineSpec extends SparkSpec {
     assert(alone("GlobalSkyline").requiredChildDistribution == Seq(AllTuples))
   }
 
+  test("the distributed complete global node merges; the non-distributed one streams BNL") {
+    val distributed = skylineNodes(TestUtil.skylineWith(airbnbC, dims3, "distributed-complete").nodes)
+    assert(distributed("GlobalSkyline").merge && !distributed("LocalSkyline").merge)
+    val alone = skylineNodes(
+      TestUtil.skylineWith(airbnbC, dims3, "non-distributed-complete").nodes)
+    assert(!alone("GlobalSkyline").merge)
+    val incomplete = skylineNodes(
+      TestUtil.skylineWith(airbnbI, dims3, "distributed-incomplete").nodes)
+    assert(incomplete.values.forall(!_.merge))
+  }
+
+  test("distributed-complete merges anti-correlated local skylines like BruteForce (SQL and API)") {
+    import spark.implicits._
+    val df = TestUtil.antiCorrelated(1200, 4, seed = 5).zipWithIndex
+      .map { case (p, id) => (id, p(0), p(1), p(2), p(3)) }
+      .toDF("id", "x0", "x1", "x2", "x3").repartition(4)
+    val dims = Seq("x0" -> Min, "x1" -> Max, "x2" -> Min, "x3" -> Min)
+    TestUtil.assertMatchesBrute(df, dims, "distributed-complete", incomplete = false)
+    TestUtil.assertMatchesBrute(df, dims, "distributed-complete", incomplete = false, distinct = true)
+    val cached = df.cache()
+    try {
+      cached.createOrReplaceTempView("anti4")
+      val rows = TestUtil.withAlgorithm(spark, "distributed-complete") {
+        spark.sql("SELECT * FROM anti4 SKYLINE OF x0 MIN, x1 MAX, x2 MIN, x3 MIN").collect().toSeq
+      }
+      val expected = BruteForce.skyline(
+        cached.collect().toSeq, TestUtil.dimIndices(cached, dims), incomplete = false)
+      assert(expected.size > 2 * SkylineAlgorithms.MergeLeafSize)
+      TestUtil.assertSameRows(rows, expected, "SQL")
+    } finally { cached.unpersist(); () }
+  }
+
   test("local skyline preserves the number of input partitions") {
     val df = airbnbC.repartition(7)
     val run = TestUtil.skylineWith(df, dims3, "distributed-complete")
@@ -329,7 +362,7 @@ class PhysicalSkylineSpec extends SparkSpec {
              "non-distributed-complete" -> false, "distributed-incomplete" -> true)) {
           val run = TestUtil.skylineWith(df, fixed, algo, complete = !incomplete)
           assert(run.nodes.exists(_.simpleString(25).contains("keys=long[")), s"$fixed $algo")
-          val expected = repro.reference.BruteForce.skyline(
+          val expected = BruteForce.skyline(
             input, TestUtil.dimIndices(df, fixed), incomplete)
           assert(run.rows.map(_.getInt(0)).sorted == expected.map(_.getInt(0)).sorted,
             s"trial $trial $fixed $algo")
