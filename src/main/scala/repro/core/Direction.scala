@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Locale
+
 /** Direction of a skyline dimension: MIN, MAX, or DIFF (Listing 3 of the
   * paper). MIN/MAX dimensions are the ones a tuple can be "better" in; DIFF
   * dimensions partition the skyline — tuples only compare when equal there.
@@ -21,7 +23,7 @@ object Direction {
   val all: Seq[Direction] = Seq(Min, Max, Diff)
 
   /** Parse a direction keyword (case-insensitive). */
-  def fromString(s: String): Option[Direction] = s.toUpperCase match {
+  def fromString(s: String): Option[Direction] = s.toUpperCase(Locale.ROOT) match {
     case "MIN"  => Some(Min)
     case "MAX"  => Some(Max)
     case "DIFF" => Some(Diff)

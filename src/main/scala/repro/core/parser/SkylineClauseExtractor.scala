@@ -1,5 +1,6 @@
 package repro.core.parser
 
+import java.util.Locale
 import org.antlr.v4.runtime.Token
 import org.apache.spark.sql.catalyst.parser.SqlBaseLexer
 import org.apache.spark.sql.catalyst.parser.skyline.Bridge
@@ -87,7 +88,7 @@ object SkylineClauseExtractor {
             (d > 0 && tokens(j).getType == SqlBaseLexer.RIGHT_PAREN ||
               Direction.fromString(tokens(j - 1).getText).isDefined &&
                 (tokens(j).getType == SqlBaseLexer.SEMICOLON ||
-                  Terminators.contains(tokens(j).getText.toUpperCase)))
+                  Terminators.contains(tokens(j).getText.toUpperCase(Locale.ROOT))))
         }.getOrElse(tokens.size)
         val commas =
           (i until end).filter(j => depth(j) == d && tokens(j).getType == SqlBaseLexer.COMMA)
@@ -97,8 +98,9 @@ object SkylineClauseExtractor {
         val select = (clause - 1 to 0 by -1)
           .find(j => depth(j) < d || depth(j) == d &&
             (tokens(j).getType == SqlBaseLexer.SELECT || j > 0 &&
-              SetOperators.contains(tokens(j).getText.toUpperCase) &&
-              !Set("*", ",", ".", "AS", "SELECT").contains(tokens(j - 1).getText.toUpperCase)))
+              SetOperators.contains(tokens(j).getText.toUpperCase(Locale.ROOT)) &&
+              !Set("*", ",", ".", "AS", "SELECT")
+                .contains(tokens(j - 1).getText.toUpperCase(Locale.ROOT))))
           .filter(tokens(_).getType == SqlBaseLexer.SELECT)
           .getOrElse(throw new SkylineParseException(
             s"SKYLINE OF must follow a SELECT of the same query level: '${text(clause, end)}'"))

@@ -1,5 +1,6 @@
 package repro.core.parser
 
+import java.util.Locale
 import org.apache.spark.sql.catalyst.{FunctionIdentifier, TableIdentifier}
 import org.apache.spark.sql.catalyst.expressions.{Expression, Literal}
 import org.apache.spark.sql.catalyst.parser.ParserInterface
@@ -26,7 +27,7 @@ class SkylineSqlParser(delegate: ParserInterface) extends ParserInterface {
   override def parseQuery(sqlText: String): LogicalPlan = rewrite(sqlText, delegate.parseQuery)
 
   private def rewrite(sqlText: String, parse: String => LogicalPlan): LogicalPlan =
-    if (!sqlText.toUpperCase.contains("SKYLINE")) parse(sqlText)
+    if (!sqlText.toUpperCase(Locale.ROOT).contains("SKYLINE")) parse(sqlText)
     else toSkyline(parse(SkylineClauseExtractor.toHints(sqlText)))
 
   /** Every skyline hint as a SkylineOperator, also in subqueries, in CTE

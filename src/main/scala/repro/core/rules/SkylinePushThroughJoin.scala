@@ -1,6 +1,6 @@
 package repro.core.rules
 
-import org.apache.spark.sql.catalyst.expressions.{Alias, Attribute}
+import org.apache.spark.sql.catalyst.expressions.AliasHelper
 import org.apache.spark.sql.catalyst.plans.{LeftOuter, RightOuter}
 import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan, Project}
 import org.apache.spark.sql.catalyst.rules.Rule
@@ -29,7 +29,7 @@ import repro.core.{SkylineDimension, SkylineOperator}
   * be switched off with
   * `spark.sql.optimizer.excludedRules=repro.core.rules.SkylinePushThroughJoin`.
   */
-object SkylinePushThroughJoin extends Rule[LogicalPlan] {
+object SkylinePushThroughJoin extends Rule[LogicalPlan] with AliasHelper {
 
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transformUp {
     case sky @ SkylineOperator(false, _, dims, join: Join) =>
@@ -38,15 +38,8 @@ object SkylinePushThroughJoin extends Rule[LogicalPlan] {
     case sky @ SkylineOperator(false, _, dims, p @ Project(plist, join: Join))
         if plist.forall(_.deterministic) =>
       // Rewrite dimensions through the projection's aliases, then push.
-      val substituted = dims.map { d =>
-        d.copy(child = d.child.transformUp {
-          case a: Attribute =>
-            plist.collectFirst {
-              case al @ Alias(e, _) if al.exprId == a.exprId => e
-              case at: Attribute if at.exprId == a.exprId    => at
-            }.getOrElse(a)
-        })
-      }
+      val aliases = getAliasMap(p)
+      val substituted = dims.map(replaceAlias(_, aliases).asInstanceOf[SkylineDimension])
       tryPush(sky, substituted, join)
         .map(children => p.copy(child = join.withNewChildren(children)))
         .getOrElse(sky)

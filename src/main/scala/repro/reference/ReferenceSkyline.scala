@@ -17,8 +17,8 @@ import repro.core.Direction
   *    oracle for the incomplete algorithms.
   *
   * `castTo` wraps every compared dimension in `CAST(x AS <type>)`; the
-  * DuckDB oracle needs it because [[repro.Oracle]] stages all columns as
-  * VARCHAR.
+  * DuckDB oracle needs it because `repro.Oracle` (in the tests) stages all
+  * columns as VARCHAR.
   */
 object ReferenceSkyline {
 

@@ -91,6 +91,14 @@ class ApiSpec extends SparkSpec {
       Set((8, 50.0), (9, 80.0)))
   }
 
+  test("skyline over an aggregated DataFrame on a column its projection dropped") {
+    import org.apache.spark.sql.functions._
+    val agg = hotels.groupBy("rating").agg(min("price").as("min_price")).select("rating")
+    val out = agg.skyline(smin("min_price"), smax("rating"))
+    assert(out.columns.toSeq == Seq("rating"))
+    assert(out.collect().map(_.getInt(0)).toSet == Set(8, 9))
+  }
+
   test("works on a larger generated dataset") {
     val df = SkylineData.airbnb(spark, 1000)
     val out = df.skyline(smin("price"), smax("accommodates"), smax("beds"))

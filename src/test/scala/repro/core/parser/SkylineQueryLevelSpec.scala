@@ -34,6 +34,11 @@ class SkylineQueryLevelSpec extends SparkSpec {
   private def sky(rs: Seq[Row], dims: (String, Direction)*): Seq[Row] =
     BruteForce.skyline(rs, dims.map { case (n, d) => Cols(n) -> d }, incomplete = false)
 
+  /** One row (0, a, max(b), sum(c)) per value of a, in the layout `sky` reads. */
+  private def groupedByA: Seq[Row] = rows.groupBy(_.getInt(1)).toSeq.map { case (a, g) =>
+    Row(0, a, g.map(_.getInt(2)).max, g.map(_.getInt(3)).sum)
+  }
+
   private def ab(rs: Seq[Row]): Seq[Row] = rs.map(r => Row(r.getInt(1), r.getInt(2))).distinct
 
   private def check(sql: String, expected: Seq[Row]): Unit = {
@@ -67,6 +72,28 @@ class SkylineQueryLevelSpec extends SparkSpec {
       .map(_.getInt(1)).toSet
     check("SELECT * FROM lvl_t WHERE a IN (SELECT a FROM lvl_t SKYLINE OF a MIN, abs(b - c) MIN)",
       rows.filter(r => front(r.getInt(1))))
+  }
+
+  test("an aggregate over a column missing from a GROUP BY subquery's output") {
+    val front = sky(groupedByA, "a" -> Min, "b" -> Max).map(_.getInt(1)).toSet
+    check(
+      "SELECT * FROM lvl_t WHERE a IN (SELECT a FROM lvl_t GROUP BY a SKYLINE OF a MIN, max(b) MAX)",
+      rows.filter(r => front(r.getInt(1))))
+  }
+
+  test("a sum over a column missing from a GROUP BY subquery's output") {
+    val front = sky(groupedByA, "a" -> Min, "c" -> Min).map(_.getInt(1)).toSet
+    check(
+      "SELECT * FROM lvl_t WHERE a IN (SELECT a FROM lvl_t GROUP BY a SKYLINE OF a MIN, sum(c) MIN)",
+      rows.filter(r => front(r.getInt(1))))
+  }
+
+  test("a column neither grouped nor aggregated in a GROUP BY subquery fails at analysis") {
+    setup
+    intercept[AnalysisException] {
+      spark.sql("SELECT * FROM lvl_t WHERE a IN (SELECT a FROM lvl_t GROUP BY a SKYLINE OF b MIN)")
+        .collect()
+    }
   }
 
   test("a dimension that names the outer query fails loudly") {

@@ -1,5 +1,6 @@
 package repro.core.parser
 
+import java.util.Locale
 import org.apache.spark.sql.catalyst.plans.logical.{GlobalLimit, LogicalPlan, Sort}
 import repro.SparkSpec
 import repro.core.{Direction, SkylineOperator}
@@ -53,6 +54,17 @@ class SkylineSqlParserSpec extends SparkSpec {
   test("WITH clause: skyline lands inside the CTE body") {
     val plan = parse("WITH c AS (SELECT 1 AS a) SELECT * FROM c SKYLINE OF a MIN")
     assert(skylineNodes(plan).size == 1)
+  }
+
+  test("lowercase keywords parse the same under a Turkish default locale") {
+    val upper = skylineNodes(parse("SELECT * FROM t SKYLINE OF DISTINCT a MIN, b MAX"))
+    val default = Locale.getDefault
+    Locale.setDefault(Locale.forLanguageTag("tr-TR"))
+    try {
+      // The default-locale "min".toUpperCase is "MİN" here.
+      val lower = skylineNodes(parse("select * from t skyline of distinct a min, b max"))
+      assert(upper.nonEmpty && lower == upper)
+    } finally Locale.setDefault(default)
   }
 
   test("plain queries produce no skyline node") {

@@ -1,8 +1,12 @@
 package repro.core.rules
 
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.catalyst.expressions.aggregate.AggregateExpression
+import org.apache.spark.sql.catalyst.plans.logical.Aggregate
 import repro.SparkSpec
-import repro.core.{SkylineOperator, TestUtil}
+import repro.core.{Direction, SkylineOperator, TestUtil}
 import repro.data.SkylineData
+import repro.reference.BruteForce
 
 /** Analyzer-extension tests (§5.3, Listings 6–7): dimensions missing from
   * the projection, aggregate dimensions, HAVING in between.
@@ -97,6 +101,24 @@ class ResolveSkylineSpec extends SparkSpec {
           |HAVING min(price) > 0 SKYLINE OF max(reviews) MAX""".stripMargin)
       // max(reviews): 7->10, 6->5, 9->8, 8->1 → skyline rating 7
       assert(out.collect().map(_.getInt(0)).toSet == Set(7))
+    }
+  }
+
+  test("an aggregate HAVING already computes is reused, not computed again") {
+    withHotels {
+      val out = spark.sql(
+        """SELECT rating FROM rs_hotels GROUP BY rating
+          |HAVING count(1) >= 1 SKYLINE OF count(1) MAX""".stripMargin)
+      val analyzed = out.queryExecution.analyzed
+      val agg = analyzed.collectFirst { case a: Aggregate => a }.get
+      assert(agg.aggregateExpressions.flatMap(_.collect { case e: AggregateExpression => e })
+        .size == 1, agg)
+      assert(!analyzed.toString.contains("_skyline_dim_"), analyzed)
+      // counts per rating: 7->1, 6->1, 9->2, 8->1
+      val grouped = Seq(Row(7, 1), Row(6, 1), Row(9, 2), Row(8, 1))
+      TestUtil.assertSameRows(out.collect().toSeq,
+        BruteForce.skyline(grouped, Seq(1 -> Direction.Max), incomplete = false)
+          .map(r => Row(r.getInt(0))))
     }
   }
 
