@@ -19,7 +19,6 @@ object SynthData {
   private def n(base: Long, sf: Double): Long = math.max(1L, (base * sf).toLong)
 
   def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame = {
-    import spark.implicits._
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
     spark.range(n(NLineitemPerSf, sf)).select(
       (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",

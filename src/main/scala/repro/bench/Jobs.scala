@@ -47,7 +47,7 @@ object Jobs {
 
   def main(args: Array[String]): Unit = {
     val selected = select(args.toSeq)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("skyline-" + (if (args.isEmpty) "all-tables" else args.mkString("-")))
       .config("spark.ui.enabled", "false")

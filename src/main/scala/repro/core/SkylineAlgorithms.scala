@@ -164,7 +164,7 @@ object SkylineAlgorithms {
   /** Merge of local skylines: the global step of a distributed complete
     * plan, whose input is the union of the local steps' survivors, most of
     * them incomparable. Pivot partitioning after BSkyTree (Lee and Hwang,
-    * EDBT 2010): [[KeyStore.pivotMasks]] gives every tuple a mask of the
+    * EDBT 2010): [[PivotMerge.pivot]] gives every tuple a mask of the
     * dimensions on which it is worse than the per-dimension medians, and a
     * tuple can dominate another only if its mask is a subset of the
     * other's. The tuples are grouped by mask and the groups visited in
@@ -201,13 +201,15 @@ object SkylineAlgorithms {
   private final class PivotMerge(keys: KeyStore, distinct: Boolean, n: Int) {
     val slots: Array[Int] = Array.range(0, n)
     private val masks = new Array[Long](n)
+    private val ranked = keys.ranked
+    private val work = new Array[Int](n)
 
     /** Moves the skyline of `slots(from until until)` to the front of that
       * range and returns its size.
       */
     def skyline(from: Int, until: Int): Int = {
       if (until - from <= MergeLeafSize) return bnl(from, until)
-      keys.pivotMasks(slots, from, until, masks)
+      pivot(from, until)
       val (groupMasks, starts) = group(from, until)
       val groups = groupMasks.length
       if (groups == 1) return bnl(from, until)
@@ -236,6 +238,53 @@ object SkylineAlgorithms {
         g += 1
       }
       keptFrom(groups) - from
+    }
+
+    /** The pivot step: over `slots(from until until)`, each ranked
+      * position's median (by [[KeyStore.compareOn]]) is a threshold, and
+      * `masks(j)` gets bit b for each ranked position b on which `slots(j)`
+      * is worse than it. If slot a dominates slot b, the bits of a are a
+      * subset of those of b.
+      */
+    private def pivot(from: Int, until: Int): Unit = {
+      java.util.Arrays.fill(masks, from, until, 0L)
+      var b = 0
+      while (b < ranked.length) {
+        val p = ranked(b)
+        System.arraycopy(slots, from, work, 0, until - from)
+        val median = select(p, until - from, (until - from) / 2)
+        var j = from
+        while (j < until) {
+          if (keys.compareOn(p, slots(j), median) > 0) masks(j) |= 1L << b
+          j += 1
+        }
+        b += 1
+      }
+    }
+
+    /** The slot of rank `k` (best first) at position `p` among
+      * `work(0 until n)`, which it reorders: Hoare's quickselect, in place.
+      */
+    private def select(p: Int, n: Int, k: Int): Int = {
+      var lo = 0
+      var hi = n - 1
+      while (lo < hi) {
+        val pivot = work(k)
+        var i = lo
+        var j = hi
+        while (i <= j) {
+          while (keys.compareOn(p, work(i), pivot) < 0) i += 1
+          while (keys.compareOn(p, pivot, work(j)) < 0) j -= 1
+          if (i <= j) {
+            val t = work(i); work(i) = work(j); work(j) = t
+            i += 1
+            j -= 1
+          }
+        }
+        if (j < k) lo = i
+        if (k < i) hi = j
+      }
+      work(k)
     }
 
     /** Does a survivor of one of the groups `subsets(0 until count)`

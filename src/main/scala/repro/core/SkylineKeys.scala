@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.catalyst.util.{ArrayData, MapData}
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
@@ -23,14 +22,17 @@ abstract class KeyStore {
     */
   def dominates(a: Int, b: Int): Boolean
 
-  /** The pivot step of [[SkylineAlgorithms.pivotMerge]], for complete
-    * dominance. Over the slots `slots(from until until)`, each MIN/MAX
-    * dimension's median is a threshold; `masks(j)` gets one bit for each
-    * dimension on which slot `slots(j)` is worse than that threshold. Nulls
-    * sit first in each dimension's own order, as in [[relate]], so if slot
-    * a dominates slot b then the bits of a are a subset of those of b.
+  /** The key positions of the MIN/MAX dimensions, at most 64: the
+    * positions [[SkylineAlgorithms.pivotMerge]] takes medians on.
     */
-  def pivotMasks(slots: Array[Int], from: Int, until: Int, masks: Array[Long]): Unit
+  def ranked: Array[Int]
+
+  /** The complete order of slots `a` and `b` at key position `p` of
+    * [[ranked]], better first: negative if `a` is better. Nulls sit first in
+    * the dimension's own order, as in [[relate]], so if slot a dominates
+    * slot b then `compareOn(p, a, b) <= 0` at every ranked position.
+    */
+  def compareOn(p: Int, a: Int, b: Int): Int
 
   /** Write the key of `dims` (one field per dimension, in dimension order)
     * into `slot`. The slot keeps no reference into `dims`, which may be a
@@ -165,7 +167,7 @@ final class LongKeys(types: Array[DataType], dirs: Array[Direction], incomplete:
   override def relate(a: Int, b: Int): Int = {
     val ma = masks(a)
     val mb = masks(b)
-    if (ma != mb) return relateNulls(a * arity, b * arity, ma, mb)
+    if (ma != mb) return relateNulls(a, b, ma, mb)
     val k = keys
     val oa = a * arity
     val ob = b * arity
@@ -187,7 +189,7 @@ final class LongKeys(types: Array[DataType], dirs: Array[Direction], incomplete:
   override def dominates(a: Int, b: Int): Boolean = {
     val ma = masks(a)
     val mb = masks(b)
-    if (ma != mb) return relateNulls(a * arity, b * arity, ma, mb) == FirstDominates
+    if (ma != mb) return relateNulls(a, b, ma, mb) == FirstDominates
     val k = keys
     val oa = a * arity
     val ob = b * arity
@@ -207,57 +209,26 @@ final class LongKeys(types: Array[DataType], dirs: Array[Direction], incomplete:
     strict
   }
 
-  override def pivotMasks(slots: Array[Int], from: Int, until: Int, out: Array[Long]): Unit = {
-    require(!incomplete, "pivot masks order complete dominance only")
-    java.util.Arrays.fill(out, from, until, 0L)
-    val n = until - from
-    val m = n / 2 // the median's rank, best first
-    val sorted = new Array[Long](n)
-    var p = diffs
-    while (p < arity) {
-      var c = 0
-      var j = from
-      while (j < until) {
-        val o = slots(j)
-        if ((masks(o) >>> p & 1L) == 0) { sorted(c) = keys(o * arity + p); c += 1 }
-        j += 1
-      }
-      java.util.Arrays.sort(sorted, 0, c)
-      // nulls are the smallest values: best under MIN, worst under MAX,
-      // whose keys are stored reversed
-      val nullsBest = flips(p) == 0L
-      val nulls = n - c
-      val nullThreshold = if (nullsBest) m < nulls else m >= c
-      val threshold = if (nullThreshold) 0L else sorted(if (nullsBest) m - nulls else m)
-      j = from
-      while (j < until) {
-        val o = slots(j)
-        val isNull = (masks(o) >>> p & 1L) != 0
-        val worse =
-          if (isNull) !nullsBest && !nullThreshold
-          else if (nullThreshold) nullsBest
-          else keys(o * arity + p) > threshold
-        if (worse) out(j) |= 1L << p
-        j += 1
-      }
-      p += 1
-    }
+  override val ranked: Array[Int] = Array.range(diffs, arity)
+
+  override def compareOn(p: Int, a: Int, b: Int): Int = {
+    val na = (masks(a) >>> p & 1L) != 0
+    val nb = (masks(b) >>> p & 1L) != 0
+    if (!na && !nb) java.lang.Long.compare(keys(a * arity + p), keys(b * arity + p))
+    else if (na == nb) 0
+    // one null: nulls sort first in the dimension's own order, which a MAX
+    // position stores reversed
+    else if (na == (flips(p) == 0L)) -1
+    else 1
   }
 
   /** [[relate]] for two slots with different null positions. */
-  private def relateNulls(oa: Int, ob: Int, ma: Long, mb: Long): Int = {
+  private def relateNulls(a: Int, b: Int, ma: Long, mb: Long): Int = {
     var r = Equal
     var p = 0
     while (p < arity) {
-      val na = (ma >>> p & 1L) != 0
-      val nb = (mb >>> p & 1L) != 0
-      val c =
-        if (!na && !nb) java.lang.Long.compare(keys(oa + p), keys(ob + p))
-        else if (incomplete || na == nb) 0
-        // complete mode, one null: nulls sort first in the dimension's own
-        // order, which a MAX position stores reversed
-        else if (na == (flips(p) == 0L)) -1
-        else 1
+      // incomplete mode skips the dimensions null on either side
+      val c = if (incomplete && ((ma | mb) >>> p & 1L) != 0) 0 else compareOn(p, a, b)
       if (c != 0) {
         if (p < diffs) return Neither
         r |= (if (c < 0) FirstDominates else SecondDominates)
@@ -322,11 +293,7 @@ final class GenericKeys(checker: DominanceChecker) extends KeyStore {
       values = java.util.Arrays.copyOf(values, math.max(slots, values.length * 2))
 
   override def write(dims: InternalRow, slot: Int): Unit =
-    values(slot) = dims match {
-      // a row built around the caller's own array: nothing to copy
-      case g: GenericInternalRow => g.values
-      case _ => Array.tabulate[Any](checker.arity)(i => GenericKeys.owned(dims.get(i, checker.types(i))))
-    }
+    values(slot) = Array.tabulate[Any](checker.arity)(i => GenericKeys.owned(dims.get(i, checker.types(i))))
 
   override def move(from: Int, to: Int): Unit = values(to) = values(from)
 
@@ -334,38 +301,16 @@ final class GenericKeys(checker: DominanceChecker) extends KeyStore {
 
   override def dominates(a: Int, b: Int): Boolean = checker.dominates(values(a), values(b))
 
-  /** One bit for each of the first 64 MIN/MAX dimensions; the others get
-    * none, which only weakens the pruning.
+  /** The first 64 MIN/MAX dimensions (a pivot mask is one `long`); the
+    * others take no part in the pivot, which only weakens its pruning.
     */
-  override def pivotMasks(slots: Array[Int], from: Int, until: Int, out: Array[Long]): Unit = {
-    require(!checker.incomplete, "pivot masks order complete dominance only")
-    java.util.Arrays.fill(out, from, until, 0L)
-    val n = until - from
-    val column = new Array[AnyRef](n)
-    var bit = 0
-    var i = 0
-    while (i < checker.arity && bit < 64) {
-      val dir = checker.dirs(i)
-      if (dir != Direction.Diff) {
-        val d = i
-        var j = 0
-        while (j < n) { column(j) = values(slots(from + j))(d).asInstanceOf[AnyRef]; j += 1 }
-        // nulls first, as in DominanceChecker.relate
-        val order: java.util.Comparator[AnyRef] = (x, y) => checker.compareValues(d, x, y)
-        java.util.Arrays.sort(column, 0, n, order)
-        // "worse" is larger under MIN and smaller under MAX
-        val sign = if (dir == Direction.Min) 1 else -1
-        val median = column(if (sign > 0) n / 2 else n - 1 - n / 2)
-        j = 0
-        while (j < n) {
-          if (sign * checker.compareValues(d, values(slots(from + j))(d), median) > 0)
-            out(from + j) |= 1L << bit
-          j += 1
-        }
-        bit += 1
-      }
-      i += 1
-    }
+  override val ranked: Array[Int] =
+    checker.dirs.indices.filter(checker.dirs(_) != Direction.Diff)
+      .take(KeyStore.MaxMaskDimensions).toArray
+
+  override def compareOn(p: Int, a: Int, b: Int): Int = {
+    val c = checker.compareValues(p, values(a)(p), values(b)(p))
+    if (checker.dirs(p) == Direction.Max) -c else c
   }
 }
 

@@ -2,7 +2,7 @@ package repro.core.physical
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.Attribute
+import org.apache.spark.sql.catalyst.expressions.{Attribute, BindReferences}
 import org.apache.spark.sql.catalyst.plans.physical.Partitioning
 import org.apache.spark.sql.execution.{SparkPlan, UnaryExecNode}
 import repro.core.{Direction, DominanceChecker, GenericKeys, SkylineDimension}
@@ -36,7 +36,7 @@ case class SingleDimSkylineExec(
   override def outputPartitioning: Partitioning = child.outputPartitioning
 
   override protected def doExecute(): RDD[InternalRow] = {
-    val bound = SkylineExecUtil.bind(Seq(dimension), child.output)
+    val bound = BindReferences.bindReference(dimension.child, child.output)
     val chk = new DominanceChecker(Array(dimension.dataType), Array(dimension.direction), incomplete)
     val isMin = dimension.direction == Direction.Min
     val incompleteMode = incomplete
@@ -50,14 +50,13 @@ case class SingleDimSkylineExec(
       if ((isMin && c <= 0) || (!isMin && c >= 0)) a else b
     }
     val partitionExtremes: Array[Any] = childRdd
-      .mapPartitionsWithIndex { (idx, iter) =>
-        SkylineExecUtil.initExprs(bound, idx)
+      .mapPartitions { iter =>
         var best: Any = null
         var seen = false
         iter.foreach { row =>
           // own the value: a string, struct or array from an unsafe row
           // aliases the row buffer, which is reused by the iterator
-          val v = GenericKeys.owned(bound(0).eval(row))
+          val v = GenericKeys.owned(bound.eval(row))
           if (v != null || !incompleteMode) {
             if (!seen) { best = v; seen = true } else best = better(best, v)
           }
@@ -77,14 +76,11 @@ case class SingleDimSkylineExec(
         else Some(partitionExtremes.reduce(better))
       // Pass 2 — select the tuples attaining the extreme (plus, in
       // incomplete mode, the incomparable null-dimension tuples).
-      childRdd.mapPartitionsWithIndex(
-        { (idx, iter) =>
-          SkylineExecUtil.initExprs(bound, idx)
-          iter.filter { row =>
-            val v = bound(0).eval(row)
-            if (v == null && incompleteMode) true
-            else extremeOpt.exists(e => chk.compareValues(0, v, e) == 0)
-          }
+      childRdd.mapPartitions(
+        _.filter { row =>
+          val v = bound.eval(row)
+          if (v == null && incompleteMode) true
+          else extremeOpt.exists(e => chk.compareValues(0, v, e) == 0)
         },
         preservesPartitioning = true)
     }

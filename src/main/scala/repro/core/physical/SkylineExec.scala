@@ -2,7 +2,7 @@ package repro.core.physical
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.{Attribute, IsNull}
+import org.apache.spark.sql.catalyst.expressions.{Attribute, IsNull, MutableProjection, SpecificInternalRow}
 import org.apache.spark.sql.catalyst.plans.physical.{AllTuples, ClusteredDistribution, Distribution, Partitioning, UnspecifiedDistribution}
 import org.apache.spark.sql.execution.{SparkPlan, UnaryExecNode}
 import repro.core.{SkylineAlgorithms, SkylineDimension, SkylineKeys}
@@ -44,10 +44,11 @@ import repro.core.{SkylineAlgorithms, SkylineDimension, SkylineKeys}
   *    dominated tuple must still be allowed to eliminate the tuples *it*
   *    dominates.
   *
-  * Every role reads the dimensions through a [[DimensionRow]] view of the
-  * reused input row and copies only the rows that enter a window. The key
-  * path is chosen from the dimension types and shown in EXPLAIN as
-  * `keys=long[n]` or `keys=generic`.
+  * Every role reads the dimensions of each reused input row through one
+  * `MutableProjection` per task, into a [[SpecificInternalRow]] whose
+  * primitive slots the long keys read unboxed, and copies only the rows
+  * that enter a window. The key path is chosen from the dimension types and
+  * shown in EXPLAIN as `keys=long[n]` or `keys=generic`.
   */
 case class SkylineExec(
     dimensions: Seq[SkylineDimension],
@@ -81,7 +82,7 @@ case class SkylineExec(
     s"${super.simpleString(maxFields)}, keys=$keys"
 
   override protected def doExecute(): RDD[InternalRow] = {
-    val bound = SkylineExecUtil.bind(dimensions, child.output)
+    val (exprs, types, childOutput) = (dimensions.map(_.child), dimensions.map(_.dataType), child.output)
     val ks = keys
     val (dist, incompleteMode, globalMode, mergeMode) = (distinct, incomplete, global, merge)
     val arity = dimensions.length
@@ -89,8 +90,10 @@ case class SkylineExec(
     val copyRow: InternalRow => InternalRow = _.copy()
     child.execute().mapPartitionsWithIndex(
       { (idx, iter) =>
-        SkylineExecUtil.initExprs(bound, idx)
-        val dims: InternalRow => InternalRow = new DimensionRow(bound).of
+        val project = MutableProjection.create(exprs, childOutput)
+          .target(new SpecificInternalRow(types))
+        project.initialize(idx)
+        val dims: InternalRow => InternalRow = project
         if (mergeMode)
           SkylineAlgorithms.pivotMerge(iter, dims, ks.newStore(), dist, copyRow)
         else if (!incompleteMode)

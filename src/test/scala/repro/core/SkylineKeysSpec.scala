@@ -284,6 +284,20 @@ class SkylineKeysSpec extends AnyFunSuite {
     store.write(view, 1)
     assert(store.relate(1, 0) == KeyStore.FirstDominates, "slot 0 must still hold \"bbb\"")
   }
+
+  test("generic keys copy the values of a reused GenericInternalRow") {
+    val keys = new SkylineKeys(Array(IntegerType, StringType), Array(Min, Min), incomplete = false)
+    val store = keys.newStore()
+    val buffer = new GenericInternalRow(2)
+    store.reserve(2)
+    buffer.update(0, 2)
+    buffer.update(1, UTF8String.fromString("b"))
+    store.write(buffer, 0)
+    buffer.update(0, 1)
+    buffer.update(1, UTF8String.fromString("a"))
+    store.write(buffer, 1)
+    assert(store.relate(1, 0) == KeyStore.FirstDominates, "slot 0 must still hold (2, \"b\")")
+  }
 }
 
 object SkylineKeysSpec {

@@ -4,7 +4,7 @@ import org.apache.spark.sql.catalyst.expressions.IsNull
 import org.apache.spark.sql.catalyst.plans.physical.{AllTuples, ClusteredDistribution, UnspecifiedDistribution}
 import org.apache.spark.sql.execution.SparkPlan
 import repro.SparkSpec
-import repro.core.{Direction, SkylineAlgorithms, SkylineConf, TestUtil}
+import repro.core.{Direction, SkylineAlgorithms, TestUtil}
 import repro.core.api._
 import repro.data.SkylineData
 import repro.reference.BruteForce
@@ -427,5 +427,34 @@ class PhysicalSkylineSpec extends SparkSpec {
     val a = TestUtil.skylineWith(base.repartition(16), dims3, "distributed-complete")
     val b = TestUtil.skylineWith(base.coalesce(1), dims3, "distributed-complete")
     TestUtil.assertSameRows(a.rows, b.rows)
+  }
+
+  test("a nondeterministic dimension: rand(7) draws the same values as an explicit rand(7) AS r") {
+    import org.apache.spark.sql.Row
+    import org.apache.spark.sql.functions.rand
+    // Spark pulls rand(7) out into a Project below the skyline; there is no
+    // shuffle under that Project, so rand(7) draws the same values in every
+    // query
+    val base = spark.range(0, 2000, 1, 4).selectExpr("id", "(id * 7919) % 1000 AS a")
+    base.createOrReplaceTempView("nd_t")
+    val withR = spark.sql("SELECT id, a, rand(7) AS r FROM nd_t").collect().toSeq
+    def ids(rows: Seq[Row]): Seq[Long] = rows.map(_.getLong(0)).sorted
+    def brute(dims: Seq[(Int, Direction)]): Seq[Long] =
+      ids(BruteForce.skyline(withR, dims, incomplete = false))
+    for (algo <- Seq("auto", "distributed-complete", "distributed-incomplete")) {
+      TestUtil.withAlgorithm(spark, algo) {
+        for ((dims, explicit, bruteDims) <- Seq(
+               ("rand(7) MIN, a MIN", "r MIN, a MIN", Seq(2 -> Min, 1 -> Min)),
+               ("rand(7) MAX", "r MAX", Seq(2 -> Max)))) {
+          val got = ids(spark.sql(s"SELECT id, a FROM nd_t SKYLINE OF $dims").collect().toSeq)
+          val viaR = ids(spark.sql(
+            s"SELECT * FROM (SELECT id, a, rand(7) AS r FROM nd_t) SKYLINE OF $explicit").collect().toSeq)
+          assert(got.nonEmpty && got == viaR, s"$algo $dims")
+          assert(got == brute(bruteDims), s"$algo $dims")
+        }
+        val api = ids(base.skyline(smin(rand(7)), smin("a")).collect().toSeq)
+        assert(api == brute(Seq(2 -> Min, 1 -> Min)), s"$algo API")
+      }
+    }
   }
 }
