@@ -4,19 +4,17 @@ import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.catalyst.util.TypeUtils
 import org.apache.spark.sql.types.DataType
 
-/** Typed dominance tests between tuples, the modular utility of §5.5.
+/** Typed dominance tests between tuples, written as the definition: the
+  * oracle the key stores and kernels are tested against. The operators
+  * compare through a [[KeyStore]], where the same rule is written once.
   *
-  * Built once per operator: each dimension gets an `Ordering[Any]` matched to
+  * Built once per clause: each dimension gets an `Ordering[Any]` matched to
   * its exact Catalyst [[DataType]] (via `TypeUtils.getInterpretedOrdering`),
-  * so dominance checks never cast values — the paper's "match the data type
-  * to avoid costly casting".
+  * so dominance checks never cast values.
   *
   * Tuples are represented as `Array[Any]` of the evaluated skyline-dimension
   * values (internal Catalyst values: Int, Long, Double, UTF8String, Decimal,
-  * …), in the same order as `dims`. The operators use it through
-  * [[GenericKeys]] for dimension types without a `long` key (see
-  * [[SkylineKeys]]); it is also the oracle the encoded keys are tested
-  * against.
+  * …), in the same order as `dims`.
   *
   * Two modes (Definition 3.1 and its incomplete variant from §3):
   *  - complete: all DIFF dims equal, at least as good in all MIN/MAX dims,
@@ -35,7 +33,7 @@ final class DominanceChecker(
 
   require(types.length == dirs.length)
   require(!incomplete || types.length <= KeyStore.MaxMaskDimensions,
-    DominanceChecker.tooManyIncompleteDimensions(types.length))
+    KeyStore.tooManyIncompleteDimensions(types.length))
 
   // Rebuilt lazily on each executor: DataType is always serializable, the
   // interpreted orderings need not be.
@@ -52,11 +50,6 @@ final class DominanceChecker(
     else if (a == null) -1
     else if (b == null) 1
     else orderings(i).compare(a, b)
-
-  /** Null-aware comparison on dimension `i` (nulls first) — used by the
-    * single-dimension optimized operator.
-    */
-  def compareValues(i: Int, a: Any, b: Any): Int = cmp(i, a, b)
 
   /** Does tuple `a` dominate tuple `b` (a < b in the paper's notation)? */
   def dominates(a: Array[Any], b: Array[Any]): Boolean =
@@ -105,34 +98,6 @@ final class DominanceChecker(
     strict
   }
 
-  /** Both dominance directions and the exact tie of [[equalOnDims]] in one
-    * pass: `KeyStore.Equal`, `FirstDominates` (a dominates b),
-    * `SecondDominates` (b dominates a) or `Neither`. The kernels use this;
-    * [[dominates]] stays the definition it is tested against.
-    */
-  def relate(a: Array[Any], b: Array[Any]): Int = {
-    var r = KeyStore.Equal
-    var nullsDiffer = false
-    var i = 0
-    while (i < arity) {
-      val av = a(i); val bv = b(i)
-      val c =
-        if (av != null && bv != null) orderings(i).compare(av, bv)
-        else if (incomplete) { nullsDiffer ||= (av == null) != (bv == null); 0 }
-        else cmp(i, av, bv)
-      if (c != 0) {
-        dirs(i) match {
-          case Direction.Min  => r |= (if (c < 0) KeyStore.FirstDominates else KeyStore.SecondDominates)
-          case Direction.Max  => r |= (if (c > 0) KeyStore.FirstDominates else KeyStore.SecondDominates)
-          case Direction.Diff => return KeyStore.Neither
-        }
-        if (r == KeyStore.Neither) return r
-      }
-      i += 1
-    }
-    if (r == KeyStore.Equal && nullsDiffer) KeyStore.Neither else r
-  }
-
   /** Exact tie on every skyline dimension (null ties with null) — the
     * SKYLINE OF DISTINCT duplicate criterion.
     */
@@ -147,13 +112,4 @@ final class DominanceChecker(
 
   /** Null bitmap of a tuple: bit i set iff dimension i is null (§5.7). */
   def nullBitmap(a: Array[Any]): Long = KeyStore.nullMask(new GenericInternalRow(a), arity)
-}
-
-object DominanceChecker {
-  /** Null bitmaps are one `long`, so incomplete dominance, which groups
-    * tuples by bitmap, supports at most `KeyStore.MaxMaskDimensions`.
-    */
-  def tooManyIncompleteDimensions(n: Int): String =
-    s"an incomplete skyline supports at most ${KeyStore.MaxMaskDimensions} dimensions " +
-      s"(got $n): use SKYLINE OF COMPLETE or make the dimensions non-nullable"
 }

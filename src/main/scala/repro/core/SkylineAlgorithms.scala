@@ -362,24 +362,27 @@ object SkylineAlgorithms {
 
   private def valuesRow[T](t: (T, Array[Any])): InternalRow = new GenericInternalRow(t._2)
 
+  private def genericKeys(checker: DominanceChecker): KeyStore =
+    new GenericKeys(checker.types, checker.dirs, checker.incomplete)
+
   /** [[bnl]] on generic keys. */
   def bnl[T](
       rows: Iterator[(T, Array[Any])],
       checker: DominanceChecker,
       distinct: Boolean): ArrayBuffer[(T, Array[Any])] =
-    ArrayBuffer.from(bnl(rows, valuesRow[T], new GenericKeys(checker), distinct, identity[(T, Array[Any])]).iterator)
+    ArrayBuffer.from(bnl(rows, valuesRow[T], genericKeys(checker), distinct, identity[(T, Array[Any])]).iterator)
 
   /** [[allPairsDeferred]] on generic keys. */
   def allPairsDeferred[T](
       rows: IndexedSeq[(T, Array[Any])],
       checker: DominanceChecker,
       distinct: Boolean): ArrayBuffer[(T, Array[Any])] =
-    ArrayBuffer.from(allPairsDeferred(rows.iterator, valuesRow[T], new GenericKeys(checker), distinct, identity[(T, Array[Any])]))
+    ArrayBuffer.from(allPairsDeferred(rows.iterator, valuesRow[T], genericKeys(checker), distinct, identity[(T, Array[Any])]))
 
   /** [[bnlByNullBitmap]] on generic keys. */
   def bnlByNullBitmap[T](
       rows: Iterator[(T, Array[Any])],
       checker: DominanceChecker,
       distinct: Boolean): Iterator[(T, Array[Any])] =
-    bnlByNullBitmap(rows, valuesRow[T], checker.arity, () => new GenericKeys(checker), distinct, identity[(T, Array[Any])])
+    bnlByNullBitmap(rows, valuesRow[T], checker.arity, () => genericKeys(checker), distinct, identity[(T, Array[Any])])
 }

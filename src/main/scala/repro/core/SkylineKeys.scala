@@ -1,38 +1,77 @@
 package repro.core
 
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.util.{ArrayData, MapData}
+import org.apache.spark.sql.catalyst.util.TypeUtils
 import org.apache.spark.sql.types._
-import org.apache.spark.unsafe.types.UTF8String
 
 /** Index-addressed store of skyline keys, the one structure the kernels of
-  * [[SkylineAlgorithms]] run on. Slot `i` holds the key of one tuple: its
-  * skyline-dimension values and their null mask.
+  * [[SkylineAlgorithms]] run on, and the one place the dominance rule is
+  * written (§5.5's dominance-check utility). Slot `i` holds the key of one
+  * tuple: its skyline-dimension values and their null mask. Key position p
+  * holds dimension `order(p)`: DIFF dimensions come first.
+  *
+  * The rule (Definition 3.1 and its incomplete variant of §3): a tuple
+  * dominates another if their DIFF values are equal, it is at least as good
+  * in every MIN/MAX dimension and strictly better in one. Complete mode
+  * sorts nulls first in each dimension's own order (the complete algorithm
+  * is only correct on null-free data, but it must not fail when `COMPLETE`
+  * forces it onto nulls); incomplete mode compares only the dimensions that
+  * are non-null on both sides. Subclasses supply the encoding and may
+  * shortcut [[relate]] and [[dominates]] for pairs with the same null mask.
   */
-abstract class KeyStore {
+abstract class KeyStore(dirs: Array[Direction], incomplete: Boolean) {
+  import KeyStore._
+
+  require(!incomplete || dirs.length <= MaxMaskDimensions, tooManyIncompleteDimensions(dirs.length))
+
+  protected final val arity: Int = dirs.length
+
+  protected final val order: Array[Int] =
+    (dirs.indices.filter(dirs(_) == Direction.Diff) ++
+      dirs.indices.filter(dirs(_) != Direction.Diff)).toArray
+  protected final val diffs: Int = dirs.count(_ == Direction.Diff)
+
+  /** The key positions of the first 64 MIN/MAX dimensions, where
+    * [[SkylineAlgorithms.pivotMerge]] takes medians (its masks are one `long`).
+    */
+  final val ranked: Array[Int] = Array.range(diffs, math.min(arity, diffs + MaxMaskDimensions))
+
+  /** The complete order of slots `a` and `b` at key position `p`, better
+    * first: negative if `a` is better. Nulls sit first in the dimension's
+    * own order, so if slot a dominates slot b in complete mode then
+    * `compareOn(p, a, b) <= 0` at every MIN/MAX position.
+    */
+  def compareOn(p: Int, a: Int, b: Int): Int
+
+  /** The null mask of `slot`: bit p set iff key position p is null. */
+  def nullMask(slot: Int): Long
 
   /** Both dominance directions and exact equality in one pass:
     * [[KeyStore.Equal]], [[KeyStore.FirstDominates]],
     * [[KeyStore.SecondDominates]] or [[KeyStore.Neither]].
     */
-  def relate(a: Int, b: Int): Int
+  def relate(a: Int, b: Int): Int = {
+    val ma = nullMask(a)
+    val mb = nullMask(b)
+    // incomplete mode skips the dimensions null on either side
+    val skip = if (incomplete) ma | mb else 0L
+    var r = Equal
+    var p = 0
+    while (p < arity) {
+      val c = if ((skip >>> p & 1L) != 0) 0 else compareOn(p, a, b)
+      if (c != 0) {
+        if (p < diffs) return Neither
+        r |= (if (c < 0) FirstDominates else SecondDominates)
+        if (r == Neither) return Neither
+      }
+      p += 1
+    }
+    // different null positions are never an exact tie
+    if (r == Equal && ma != mb) Neither else r
+  }
 
-  /** Does slot `a` dominate slot `b`? One direction only: it stops at the
-    * first dimension where `a` is worse or a DIFF value differs.
-    */
-  def dominates(a: Int, b: Int): Boolean
-
-  /** The key positions of the MIN/MAX dimensions, at most 64: the
-    * positions [[SkylineAlgorithms.pivotMerge]] takes medians on.
-    */
-  def ranked: Array[Int]
-
-  /** The complete order of slots `a` and `b` at key position `p` of
-    * [[ranked]], better first: negative if `a` is better. Nulls sit first in
-    * the dimension's own order, as in [[relate]], so if slot a dominates
-    * slot b then `compareOn(p, a, b) <= 0` at every ranked position.
-    */
-  def compareOn(p: Int, a: Int, b: Int): Int
+  /** Does slot `a` dominate slot `b`? */
+  def dominates(a: Int, b: Int): Boolean = relate(a, b) == FirstDominates
 
   /** Write the key of `dims` (one field per dimension, in dimension order)
     * into `slot`. The slot keeps no reference into `dims`, which may be a
@@ -66,6 +105,11 @@ object KeyStore {
     }
     bits
   }
+
+  /** Incomplete dominance groups tuples by null mask, which is one `long`. */
+  def tooManyIncompleteDimensions(n: Int): String =
+    s"an incomplete skyline supports at most $MaxMaskDimensions dimensions " +
+      s"(got $n): use SKYLINE OF COMPLETE or make the dimensions non-nullable"
 }
 
 /** The key representation of one skyline, chosen from the Catalyst types of
@@ -73,7 +117,7 @@ object KeyStore {
   * casting"). If every type has an exact order-preserving `long` image
   * ([[LongKeys.encodable]]) and there are at most 64 dimensions, keys are
   * flat `long[]` rows ([[LongKeys]]); otherwise they are the evaluated
-  * values compared by a [[DominanceChecker]] ([[GenericKeys]]).
+  * values compared by Catalyst orderings ([[GenericKeys]]).
   */
 final class SkylineKeys(types: Array[DataType], dirs: Array[Direction], incomplete: Boolean)
     extends Serializable {
@@ -81,10 +125,8 @@ final class SkylineKeys(types: Array[DataType], dirs: Array[Direction], incomple
   val encoded: Boolean =
     types.length <= KeyStore.MaxMaskDimensions && types.forall(LongKeys.encodable)
 
-  @transient private lazy val checker = new DominanceChecker(types, dirs, incomplete)
-
   def newStore(): KeyStore =
-    if (encoded) new LongKeys(types, dirs, incomplete) else new GenericKeys(checker)
+    if (encoded) new LongKeys(types, dirs, incomplete) else new GenericKeys(types, dirs, incomplete)
 
   /** The key path as EXPLAIN shows it: `long[n]` or `generic`. */
   override def toString: String = if (encoded) s"long[${types.length}]" else "generic"
@@ -103,27 +145,18 @@ object SkylineKeys {
   * every NaN the one canonical NaN, so NaN is above +Infinity and `-0.0`
   * equals `0.0` exactly as in Spark's `SQLOrderingUtil`. A MAX dimension
   * stores the bitwise NOT of that, which reverses the order without
-  * overflow, so smaller is better in every MIN/MAX position. DIFF
-  * dimensions are stored first. A null is a set bit in the slot's mask and
-  * a 0 in its position, so two tuples with the same null positions compare
-  * like complete ones: the tight loop of [[relate]]. Other pairs take the
-  * null-aware loop: incomplete mode skips dimensions null on either side,
-  * complete mode sorts nulls first in the dimension's own order, as
-  * [[DominanceChecker]] does.
+  * overflow, so smaller is better in every MIN/MAX position. A null is a
+  * set bit in the slot's mask and a 0 in its position, so two tuples with
+  * the same null positions compare like complete ones: the tight loops of
+  * [[relate]] and [[dominates]]. Other pairs take the rule of [[KeyStore]].
   */
 final class LongKeys(types: Array[DataType], dirs: Array[Direction], incomplete: Boolean)
-    extends KeyStore {
+    extends KeyStore(dirs, incomplete) {
   import KeyStore._
   import LongKeys._
 
-  private val arity = types.length
   require(arity <= MaxMaskDimensions, s"long keys hold at most $MaxMaskDimensions dimensions")
 
-  /** Key position p holds dimension `order(p)`; DIFF dimensions come first. */
-  private val order: Array[Int] =
-    (dirs.indices.filter(dirs(_) == Direction.Diff) ++
-      dirs.indices.filter(dirs(_) != Direction.Diff)).toArray
-  private val diffs = dirs.count(_ == Direction.Diff)
   private val kinds: Array[Int] = order.map(i => kindOf(types(i)))
   private val flips: Array[Long] = order.map(i => if (dirs(i) == Direction.Max) -1L else 0L)
 
@@ -164,10 +197,10 @@ final class LongKeys(types: Array[DataType], dirs: Array[Direction], incomplete:
     masks(to) = masks(from)
   }
 
+  override def nullMask(slot: Int): Long = masks(slot)
+
   override def relate(a: Int, b: Int): Int = {
-    val ma = masks(a)
-    val mb = masks(b)
-    if (ma != mb) return relateNulls(a, b, ma, mb)
+    if (masks(a) != masks(b)) return super.relate(a, b)
     val k = keys
     val oa = a * arity
     val ob = b * arity
@@ -187,9 +220,7 @@ final class LongKeys(types: Array[DataType], dirs: Array[Direction], incomplete:
   }
 
   override def dominates(a: Int, b: Int): Boolean = {
-    val ma = masks(a)
-    val mb = masks(b)
-    if (ma != mb) return relateNulls(a, b, ma, mb) == FirstDominates
+    if (masks(a) != masks(b)) return super.relate(a, b) == FirstDominates
     val k = keys
     val oa = a * arity
     val ob = b * arity
@@ -209,8 +240,6 @@ final class LongKeys(types: Array[DataType], dirs: Array[Direction], incomplete:
     strict
   }
 
-  override val ranked: Array[Int] = Array.range(diffs, arity)
-
   override def compareOn(p: Int, a: Int, b: Int): Int = {
     val na = (masks(a) >>> p & 1L) != 0
     val nb = (masks(b) >>> p & 1L) != 0
@@ -220,24 +249,6 @@ final class LongKeys(types: Array[DataType], dirs: Array[Direction], incomplete:
     // position stores reversed
     else if (na == (flips(p) == 0L)) -1
     else 1
-  }
-
-  /** [[relate]] for two slots with different null positions. */
-  private def relateNulls(a: Int, b: Int, ma: Long, mb: Long): Int = {
-    var r = Equal
-    var p = 0
-    while (p < arity) {
-      // incomplete mode skips the dimensions null on either side
-      val c = if (incomplete && ((ma | mb) >>> p & 1L) != 0) 0 else compareOn(p, a, b)
-      if (c != 0) {
-        if (p < diffs) return Neither
-        r |= (if (c < 0) FirstDominates else SecondDominates)
-        if (r == Neither) return Neither
-      }
-      p += 1
-    }
-    // different null positions are never an exact tie
-    if (r == Equal) Neither else r
   }
 }
 
@@ -279,48 +290,57 @@ object LongKeys {
   }
 }
 
-/** Keys as evaluated values compared through a [[DominanceChecker]]: the
-  * path for dimension types without a `long` image (strings, binary,
-  * decimals, nested types) and the oracle the encoded path is tested
-  * against.
+/** Keys as evaluated values compared by each dimension's Catalyst
+  * ordering (`TypeUtils.getInterpretedOrdering`): the path for dimension
+  * types without a `long` image (strings, binary, decimals, nested types).
   */
-final class GenericKeys(checker: DominanceChecker) extends KeyStore {
+final class GenericKeys(types: Array[DataType], dirs: Array[Direction], incomplete: Boolean)
+    extends KeyStore(dirs, incomplete) {
+
+  private val orderings: Array[Ordering[Any]] =
+    order.map(i => TypeUtils.getInterpretedOrdering(types(i)).asInstanceOf[Ordering[Any]])
+  private val max: Array[Boolean] = order.map(dirs(_) == Direction.Max)
 
   private var values = new Array[Array[Any]](16)
+  private var masks = new Array[Long](16)
 
   override def reserve(slots: Int): Unit =
-    if (slots > values.length)
-      values = java.util.Arrays.copyOf(values, math.max(slots, values.length * 2))
+    if (slots > values.length) {
+      val n = math.max(slots, values.length * 2)
+      values = java.util.Arrays.copyOf(values, n)
+      masks = java.util.Arrays.copyOf(masks, n)
+    }
 
-  override def write(dims: InternalRow, slot: Int): Unit =
-    values(slot) = Array.tabulate[Any](checker.arity)(i => GenericKeys.owned(dims.get(i, checker.types(i))))
+  /** Each value is copied, so no slot aliases the buffer of `dims`. */
+  override def write(dims: InternalRow, slot: Int): Unit = {
+    val vs = new Array[Any](arity)
+    var mask = 0L
+    var p = 0
+    while (p < arity) {
+      val i = order(p)
+      if (dims.isNullAt(i)) mask |= 1L << p
+      else vs(p) = InternalRow.copyValue(dims.get(i, types(i)))
+      p += 1
+    }
+    values(slot) = vs
+    masks(slot) = mask
+  }
 
-  override def move(from: Int, to: Int): Unit = values(to) = values(from)
+  override def move(from: Int, to: Int): Unit = {
+    values(to) = values(from)
+    masks(to) = masks(from)
+  }
 
-  override def relate(a: Int, b: Int): Int = checker.relate(values(a), values(b))
-
-  override def dominates(a: Int, b: Int): Boolean = checker.dominates(values(a), values(b))
-
-  /** The first 64 MIN/MAX dimensions (a pivot mask is one `long`); the
-    * others take no part in the pivot, which only weakens its pruning.
-    */
-  override val ranked: Array[Int] =
-    checker.dirs.indices.filter(checker.dirs(_) != Direction.Diff)
-      .take(KeyStore.MaxMaskDimensions).toArray
+  override def nullMask(slot: Int): Long = masks(slot)
 
   override def compareOn(p: Int, a: Int, b: Int): Int = {
-    val c = checker.compareValues(p, values(a)(p), values(b)(p))
-    if (checker.dirs(p) == Direction.Max) -c else c
-  }
-}
-
-object GenericKeys {
-  /** A value that no longer aliases the buffer of the row it came from. */
-  private[core] def owned(v: Any): Any = v match {
-    case s: UTF8String  => s.copy()
-    case r: InternalRow => r.copy()
-    case a: ArrayData   => a.copy()
-    case m: MapData     => m.copy()
-    case other          => other
+    val x = values(a)(p)
+    val y = values(b)(p)
+    // nulls first in the dimension's own order
+    val c =
+      if (x == null) (if (y == null) 0 else -1)
+      else if (y == null) 1
+      else orderings(p).compare(x, y)
+    if (max(p)) -c else c
   }
 }

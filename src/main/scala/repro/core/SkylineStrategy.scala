@@ -54,8 +54,7 @@ case class SkylineStrategy(session: SparkSession) extends SparkStrategy {
           SingleDimSkylineExec(dims.head, incomplete, planLater(child))
         } else {
           if (incomplete && dims.length > KeyStore.MaxMaskDimensions) {
-            throw new IllegalArgumentException(
-              DominanceChecker.tooManyIncompleteDimensions(dims.length))
+            throw new IllegalArgumentException(KeyStore.tooManyIncompleteDimensions(dims.length))
           }
           val input = planLater(child)
           val local =

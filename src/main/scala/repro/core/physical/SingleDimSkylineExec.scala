@@ -2,10 +2,10 @@ package repro.core.physical
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.{Attribute, BindReferences}
+import org.apache.spark.sql.catalyst.expressions.Attribute
 import org.apache.spark.sql.catalyst.plans.physical.Partitioning
 import org.apache.spark.sql.execution.{SparkPlan, UnaryExecNode}
-import repro.core.{Direction, DominanceChecker, GenericKeys, SkylineDimension}
+import repro.core.{Direction, SkylineDimension, SkylineKeys}
 
 /** Optimized operator for single-dimension MIN/MAX skylines (§5.4).
   *
@@ -16,11 +16,13 @@ import repro.core.{Direction, DominanceChecker, GenericKeys, SkylineDimension}
   * child: a distributed extreme aggregation (per-partition extreme, reduced
   * on the driver — the scalar subquery), then a distributed filter.
   *
-  * In incomplete mode tuples whose dimension is null are incomparable to
-  * everything (no mutually non-null dimension exists), hence vacuously part
-  * of the skyline; the extreme is taken over non-null values only. In
-  * complete mode the null-aware nulls-first comparison keeps the operator
-  * consistent with the complete [[SkylineExec]] on dirty data.
+  * Both passes read the dimension through [[SkylineExec.projection]] and
+  * order it by a one-dimension key store (`keys=long[1]` or `keys=generic`
+  * in EXPLAIN), with the null rule of the BNL nodes: in incomplete mode a
+  * null is incomparable to everything (no mutually non-null dimension
+  * exists), hence vacuously in the skyline, and the extreme is taken over
+  * non-null values only; in complete mode nulls sort first in the
+  * dimension's own order.
   */
 case class SingleDimSkylineExec(
     dimension: SkylineDimension,
@@ -35,57 +37,62 @@ case class SingleDimSkylineExec(
 
   override def outputPartitioning: Partitioning = child.outputPartitioning
 
+  private def keys: SkylineKeys = SkylineKeys(Seq(dimension), incomplete)
+
+  override def simpleString(maxFields: Int): String =
+    s"${super.simpleString(maxFields)}, keys=$keys"
+
   override protected def doExecute(): RDD[InternalRow] = {
-    val bound = BindReferences.bindReference(dimension.child, child.output)
-    val chk = new DominanceChecker(Array(dimension.dataType), Array(dimension.direction), incomplete)
-    val isMin = dimension.direction == Direction.Min
-    val incompleteMode = incomplete
+    val (dims, childOutput, ks, incompleteMode) = (Seq(dimension), child.output, keys, incomplete)
     val childRdd = child.execute()
-
-    // Pass 1 — the "scalar subquery": per-partition extreme, driver reduce.
-    // `better(a, b)` decides which value wins; in incomplete mode nulls are
-    // excluded before calling, in complete mode nulls-first ordering applies.
-    def better(a: Any, b: Any): Any = {
-      val c = chk.compareValues(0, a, b)
-      if ((isMin && c <= 0) || (!isMin && c >= 0)) a else b
-    }
-    val partitionExtremes: Array[Any] = childRdd
-      .mapPartitions { iter =>
-        var best: Any = null
-        var seen = false
-        iter.foreach { row =>
-          // own the value: a string, struct or array from an unsafe row
-          // aliases the row buffer, which is reused by the iterator
-          val v = GenericKeys.owned(bound.eval(row))
-          if (v != null || !incompleteMode) {
-            if (!seen) { best = v; seen = true } else best = better(best, v)
-          }
+    // Pass 1 — the "scalar subquery": each partition's extreme, then the
+    // extreme of those on the driver.
+    val extreme = SingleDimSkylineExec.best(
+      childRdd.mapPartitionsWithIndex { (idx, iter) =>
+        SingleDimSkylineExec.best(
+          iter.map(SkylineExec.projection(dims, childOutput, idx)), ks, incompleteMode).iterator
+      }.collect().iterator,
+      ks, incompleteMode)
+    // Pass 2 — select the tuples attaining the extreme (plus, in incomplete
+    // mode, the incomparable null-dimension tuples).
+    childRdd.mapPartitionsWithIndex(
+      { (idx, iter) =>
+        val dim = SkylineExec.projection(dims, childOutput, idx)
+        val store = ks.newStore()
+        store.reserve(2)
+        extreme.foreach(store.write(_, 0))
+        iter.filter { row =>
+          val d = dim(row)
+          (incompleteMode && d.isNullAt(0)) ||
+            extreme.isDefined && { store.write(d, 1); store.compareOn(0, 1, 0) == 0 }
         }
-        if (seen) Iterator.single(best) else Iterator.empty
-      }
-      .collect()
-
-    if (partitionExtremes.isEmpty && !incompleteMode) {
-      // Empty input (or all-null in a forced-complete run over garbage):
-      // nothing attains an extreme.
-      if (childRdd.partitions.isEmpty) childRdd
-      else childRdd.mapPartitions(_ => Iterator.empty)
-    } else {
-      val extremeOpt: Option[Any] =
-        if (partitionExtremes.isEmpty) None
-        else Some(partitionExtremes.reduce(better))
-      // Pass 2 — select the tuples attaining the extreme (plus, in
-      // incomplete mode, the incomparable null-dimension tuples).
-      childRdd.mapPartitions(
-        _.filter { row =>
-          val v = bound.eval(row)
-          if (v == null && incompleteMode) true
-          else extremeOpt.exists(e => chk.compareValues(0, v, e) == 0)
-        },
-        preservesPartitioning = true)
-    }
+      },
+      preservesPartitioning = true)
   }
 
   override protected def withNewChildInternal(newChild: SparkPlan): SingleDimSkylineExec =
     copy(child = newChild)
+}
+
+object SingleDimSkylineExec {
+  /** An owned copy of the best of the one-field rows `dims` by key position
+    * 0 of a store of `keys`, if there is a candidate; incomplete mode leaves
+    * the nulls out. Slot 0 holds the best so far, slot 1 the candidate.
+    */
+  private def best(dims: Iterator[InternalRow], keys: SkylineKeys, incomplete: Boolean)
+      : Option[InternalRow] = {
+    val store = keys.newStore()
+    store.reserve(2)
+    var best: Option[InternalRow] = None
+    dims.foreach { d =>
+      if (!(incomplete && d.isNullAt(0))) {
+        store.write(d, 1)
+        if (best.isEmpty || store.compareOn(0, 1, 0) < 0) {
+          store.move(1, 0)
+          best = Some(d.copy())
+        }
+      }
+    }
+    best
+  }
 }

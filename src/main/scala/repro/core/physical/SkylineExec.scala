@@ -82,7 +82,7 @@ case class SkylineExec(
     s"${super.simpleString(maxFields)}, keys=$keys"
 
   override protected def doExecute(): RDD[InternalRow] = {
-    val (exprs, types, childOutput) = (dimensions.map(_.child), dimensions.map(_.dataType), child.output)
+    val (dimensionList, childOutput) = (dimensions, child.output)
     val ks = keys
     val (dist, incompleteMode, globalMode, mergeMode) = (distinct, incomplete, global, merge)
     val arity = dimensions.length
@@ -90,10 +90,7 @@ case class SkylineExec(
     val copyRow: InternalRow => InternalRow = _.copy()
     child.execute().mapPartitionsWithIndex(
       { (idx, iter) =>
-        val project = MutableProjection.create(exprs, childOutput)
-          .target(new SpecificInternalRow(types))
-        project.initialize(idx)
-        val dims: InternalRow => InternalRow = project
+        val dims = SkylineExec.projection(dimensionList, childOutput, idx)
         if (mergeMode)
           SkylineAlgorithms.pivotMerge(iter, dims, ks.newStore(), dist, copyRow)
         else if (!incompleteMode)
@@ -109,4 +106,15 @@ case class SkylineExec(
 
   override protected def withNewChildInternal(newChild: SparkPlan): SkylineExec =
     copy(child = newChild)
+}
+
+object SkylineExec {
+  /** A task's projection of the dimensions (see the class comment). */
+  def projection(dims: Seq[SkylineDimension], input: Seq[Attribute], partition: Int)
+      : InternalRow => InternalRow = {
+    val project = MutableProjection.create(dims.map(_.child), input)
+      .target(new SpecificInternalRow(dims.map(_.dataType)))
+    project.initialize(partition)
+    project
+  }
 }

@@ -64,7 +64,7 @@ class PivotMergeSpec extends AnyFunSuite {
   private def stores(types: Seq[DataType], dirs: Seq[Direction]): Seq[() => KeyStore] = {
     val keys = new SkylineKeys(types.toArray, dirs.toArray, incomplete = false)
     val generic: () => KeyStore =
-      () => new GenericKeys(new DominanceChecker(types.toArray, dirs.toArray, incomplete = false))
+      () => new GenericKeys(types.toArray, dirs.toArray, incomplete = false)
     if (keys.encoded) Seq(() => keys.newStore(), generic) else Seq(generic)
   }
 
@@ -161,11 +161,12 @@ class PivotMergeSpec extends AnyFunSuite {
   }
 
   /** A key store that counts its dominance tests. */
-  private final class Counting(inner: KeyStore) extends KeyStore {
+  private final class Counting(inner: KeyStore, dirs: Array[Direction])
+      extends KeyStore(dirs, incomplete = false) {
     var tests = 0L
     override def relate(a: Int, b: Int): Int = { tests += 1; inner.relate(a, b) }
     override def dominates(a: Int, b: Int): Boolean = { tests += 1; inner.dominates(a, b) }
-    override def ranked: Array[Int] = inner.ranked
+    override def nullMask(slot: Int): Long = inner.nullMask(slot)
     override def compareOn(p: Int, a: Int, b: Int): Int = inner.compareOn(p, a, b)
     override def write(dims: InternalRow, slot: Int): Unit = inner.write(dims, slot)
     override def move(from: Int, to: Int): Unit = inner.move(from, to)
@@ -174,7 +175,8 @@ class PivotMergeSpec extends AnyFunSuite {
 
   test("on the anti-correlated 4-D union the merge makes at most half of BNL's dominance tests") {
     val types = Array[DataType](DoubleType, DoubleType, DoubleType, DoubleType)
-    val keys = new SkylineKeys(types, Array.fill(4)(Min), incomplete = false)
+    val dirs = Array.fill[Direction](4)(Min)
+    val keys = new SkylineKeys(types, dirs, incomplete = false)
     val points = TestUtil.antiCorrelated(2500, 4, seed = 31)
       .zipWithIndex.map { case (p, id) => (id, p.toArray[Any]) }
     // the local steps of four partitions, then their union
@@ -184,10 +186,10 @@ class PivotMergeSpec extends AnyFunSuite {
     // in arrival order, and sorted by one dimension: a median that is not
     // the median (say, the first slot) splits the sorted union badly
     for ((order, input) <- Seq("arrival" -> union, "sorted" -> union.sortBy(_._2(0).asInstanceOf[Double]))) {
-      val bnlKeys = new Counting(keys.newStore())
+      val bnlKeys = new Counting(keys.newStore(), dirs)
       val bnl = SkylineAlgorithms.bnl(input.iterator, row, bnlKeys, distinct = false,
         identity[Tuple]).iterator.map(_._1).toSeq
-      val mergeKeys = new Counting(keys.newStore())
+      val mergeKeys = new Counting(keys.newStore(), dirs)
       val merged = SkylineAlgorithms.pivotMerge(input.iterator, row, mergeKeys, distinct = false,
         identity[Tuple]).map(_._1).toSeq
       assert(merged.sorted == bnl.sorted, order)

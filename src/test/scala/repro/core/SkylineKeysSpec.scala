@@ -11,7 +11,7 @@ import repro.reference.BruteForce
 import scala.util.Random
 
 /** The encoded key path ([[LongKeys]]) against the generic one
-  * ([[GenericKeys]] over [[DominanceChecker]]) and [[BruteForce]], on
+  * ([[GenericKeys]]), the [[DominanceChecker]] oracle and [[BruteForce]], on
   * seeded random tuples of every encodable type, edge values included.
   */
 class SkylineKeysSpec extends AnyFunSuite {
@@ -123,7 +123,7 @@ class SkylineKeysSpec extends AnyFunSuite {
       val checker = new DominanceChecker(types.toArray, dirs.toArray, incomplete)
       val data = tuples(rnd, gs, 30, anti = rnd.nextBoolean(), nullFrac = 0.2)
       val long = encoded(types, dirs, incomplete).newStore()
-      val generic = new GenericKeys(checker)
+      val generic = new GenericKeys(types.toArray, dirs.toArray, incomplete)
       for (s <- Seq(long, generic)) {
         s.reserve(data.size)
         data.foreach(t => s.write(row(t), t._1))

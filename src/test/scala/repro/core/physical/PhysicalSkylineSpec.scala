@@ -285,6 +285,8 @@ class PhysicalSkylineSpec extends SparkSpec {
     val df = Seq((10, 2), (6, 8), (4, 4)).toDF("a", "b")
     val out = df.skyline(smin(df("a") + df("b")))
     assert(out.collect().map(r => (r.getInt(0), r.getInt(1))).toSet == Set((4, 4)))
+    val single = nodes(out).collect { case n: SingleDimSkylineExec => n.simpleString(25) }
+    assert(single.size == 1 && single.head.endsWith("keys=long[1]"), single)
   }
 
   test("forced incomplete algorithm on complete data is correct (slow path)") {
@@ -306,11 +308,18 @@ class PhysicalSkylineSpec extends SparkSpec {
   test("string and decimal dimensions take the generic path with the same results") {
     import spark.implicits._
     val rnd = new scala.util.Random(21)
-    val df = Seq.fill(300)((rnd.nextInt(1000), s"k${rnd.nextInt(40)}",
+    def orNull[A](a: A): Option[A] = if (rnd.nextDouble() < 0.1) None else Some(a)
+    val complete = Seq.fill(300)((rnd.nextInt(1000), s"k${rnd.nextInt(40)}",
         BigDecimal(rnd.nextInt(5000), 2), rnd.nextInt(20)))
       .toDF("id", "s", "dec", "v")
-    for (dims <- Seq(Seq("s" -> Min, "v" -> Max), Seq("dec" -> Max, "v" -> Min),
-                     Seq("s" -> Diff, "dec" -> Min, "v" -> Max))) {
+    // the same shape with about 10% nulls in the string and decimal columns
+    val withNulls = Seq.fill(300)((rnd.nextInt(1000), orNull(s"k${rnd.nextInt(40)}"),
+        orNull(BigDecimal(rnd.nextInt(5000), 2)), rnd.nextInt(20)))
+      .toDF("id", "s", "dec", "v")
+    for (df <- Seq(complete, withNulls);
+         dims <- Seq(Seq("s" -> Min, "v" -> Max), Seq("dec" -> Max, "v" -> Min),
+                     Seq("s" -> Diff, "dec" -> Min, "v" -> Max),
+                     Seq("v" -> Min, "s" -> Diff, "dec" -> Max), Seq("dec" -> Max))) {
       for (algo <- Seq("distributed-complete", "distributed-incomplete")) {
         val run = TestUtil.skylineWith(df, dims, algo)
         assert(run.nodes.exists(_.simpleString(25).endsWith("keys=generic")), s"$dims $algo")
@@ -353,13 +362,14 @@ class PhysicalSkylineSpec extends SparkSpec {
     val df = spark.createDataFrame(rows.asJava, schema).cache()
     try {
       val names = schema.fieldNames.drop(1).toSeq
+      val input = df.collect().toSeq
+      val algos = Seq("distributed-complete" -> false, "non-distributed-complete" -> false,
+        "distributed-incomplete" -> true)
       for (trial <- 1 to 6) {
         val dims = rnd.shuffle(names).take(2 + rnd.nextInt(3))
           .map(n => n -> Seq(Min, Max, Diff)(rnd.nextInt(3)))
         val fixed = if (dims.forall(_._2 == Diff)) dims.updated(0, dims.head._1 -> Min) else dims
-        val input = df.collect().toSeq
-        for ((algo, incomplete) <- Seq("distributed-complete" -> false,
-             "non-distributed-complete" -> false, "distributed-incomplete" -> true)) {
+        for ((algo, incomplete) <- algos) {
           val run = TestUtil.skylineWith(df, fixed, algo, complete = !incomplete)
           assert(run.nodes.exists(_.simpleString(25).contains("keys=long[")), s"$fixed $algo")
           val expected = BruteForce.skyline(
@@ -367,6 +377,16 @@ class PhysicalSkylineSpec extends SparkSpec {
           assert(run.rows.map(_.getInt(0)).sorted == expected.map(_.getInt(0)).sorted,
             s"trial $trial $fixed $algo")
         }
+      }
+      // every column as one MIN and one MAX dimension: the single-dimension
+      // node, whose complete mode keeps the null rows of a MIN
+      for (name <- names; dir <- Seq(Min, Max); (algo, incomplete) <- algos) {
+        val dims = Seq(name -> dir)
+        val run = TestUtil.skylineWith(df, dims, algo, complete = !incomplete)
+        assert(run.nodes.exists(_.isInstanceOf[SingleDimSkylineExec]), s"$dims $algo")
+        val expected = BruteForce.skyline(input, TestUtil.dimIndices(df, dims), incomplete)
+        assert(run.rows.map(_.getInt(0)).sorted == expected.map(_.getInt(0)).sorted,
+          s"$dims $algo")
       }
     } finally { df.unpersist(); () }
   }
