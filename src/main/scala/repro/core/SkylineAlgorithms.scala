@@ -13,8 +13,10 @@ import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
   * per tuple, writes the tuple's key into a store slot via `dims` (the
   * tuple's skyline-dimension values as a row, possibly a reused buffer),
   * and keeps `own(payload)` only for tuples it has to remember. The
-  * physical operators pass input rows with `own = _.copy()`, so only the
-  * rows that enter a window are copied.
+  * physical operators pass input rows with `own = _.copy()`: the BNL
+  * kernels copy only the rows that join a window, [[allPairsDeferred]] and
+  * [[pivotMerge]] every row, since they buffer their whole input. Every BNL
+  * runs through [[bnlStep]].
   *
   * The overloads over `(payload, dimValues)` pairs with a
   * [[DominanceChecker]] run the same kernels on [[GenericKeys]].
@@ -24,42 +26,61 @@ object SkylineAlgorithms {
   /** Block-Nested-Loop window (§5.6, complete data only — relies on the
     * transitivity of dominance to delete dominated tuples eagerly).
     *
-    * Slots `[0, size)` of `keys` hold the skyline of everything offered so
-    * far. For each offered tuple t: if some window tuple dominates t (or
-    * ties it exactly under DISTINCT), t is dropped; otherwise every window
-    * tuple t dominates is evicted and t is inserted.
+    * `ids(0 until n)` are the store slots of the skyline of everything
+    * offered so far, in window order; the slots after them are free. Each
+    * offered tuple's key goes into the first free slot, and [[bnlStep]]
+    * decides whether it joins, so the store never holds more than the
+    * largest window plus one key. Only a tuple that joins is owned.
     */
   final class Window[P](keys: KeyStore, distinct: Boolean, own: P => P) {
-    private var payloads = new Array[AnyRef](16)
+    private var ids = Array.range(0, 16)
+    private var payloads = new Array[AnyRef](16) // by slot
     private var n = 0
 
     /** Offer the tuple `p` with dimension values `dims`. */
     def offer(p: P, dims: InternalRow): Unit = {
-      keys.reserve(n + 1)
-      val c = n // the candidate's slot, just past the window
-      keys.write(dims, c)
-      var m = n
-      var i = 0
-      while (i < m) {
-        val r = keys.relate(i, c)
-        if (r == KeyStore.FirstDominates || (distinct && r == KeyStore.Equal)) {
-          n = m
-          return
-        }
-        if (r == KeyStore.SecondDominates) {
-          // evict slot i: move the last window slot into it
-          m -= 1
-          keys.move(m, i)
-          payloads(i) = payloads(m)
-        } else i += 1
+      if (n == ids.length) {
+        ids = ids ++ Array.range(n, 2 * n)
+        payloads = java.util.Arrays.copyOf(payloads, 2 * n)
       }
-      if (m != c) keys.move(c, m)
-      if (m == payloads.length) payloads = java.util.Arrays.copyOf(payloads, m * 2)
-      payloads(m) = own(p).asInstanceOf[AnyRef]
-      n = m + 1
+      val slot = ids(n)
+      keys.write(dims, slot)
+      n = bnlStep(keys, distinct, ids, 0, n, n)
+      if (n > 0 && ids(n - 1) == slot) payloads(slot) = own(p).asInstanceOf[AnyRef]
     }
 
-    def iterator: Iterator[P] = payloads.iterator.take(n).asInstanceOf[Iterator[P]]
+    def iterator: Iterator[P] = ids.iterator.take(n).map(payloads(_).asInstanceOf[P])
+  }
+
+  /** One BNL step over store slots: `ids(from until from + n)` is the
+    * window and `ids(c)`, at or past its end, the candidate. The candidate
+    * is dropped if a window slot dominates it (or, under DISTINCT, ties it
+    * exactly); otherwise every window slot it dominates is swapped with the
+    * window's last slot, past the shrunk window's end, and the candidate is
+    * swapped in as the new last slot. Returns the new window size; `ids`
+    * stays a permutation.
+    */
+  private def bnlStep(keys: KeyStore, distinct: Boolean, ids: Array[Int], from: Int, n: Int,
+                      c: Int): Int = {
+    val candidate = ids(c)
+    var m = n
+    var i = 0
+    while (i < m) {
+      val r = keys.relate(ids(from + i), candidate)
+      if (r == KeyStore.FirstDominates || (distinct && r == KeyStore.Equal)) return m
+      if (r == KeyStore.SecondDominates) {
+        m -= 1
+        swap(ids, from + i, from + m)
+      } else i += 1
+    }
+    swap(ids, from + m, c)
+    m + 1
+  }
+
+  private def swap(ids: Array[Int], i: Int, j: Int): Unit = {
+    val t = ids(i)
+    ids(i) = ids(j)
+    ids(j) = t
   }
 
   /** BNL skyline of `rows` (see [[Window]]). */
@@ -121,13 +142,7 @@ object SkylineAlgorithms {
       keys: KeyStore,
       distinct: Boolean,
       own: P => P): Iterator[P] = {
-    val payloads = ArrayBuffer.empty[P]
-    while (rows.hasNext) {
-      val p = rows.next()
-      keys.reserve(payloads.length + 1)
-      keys.write(dims(p), payloads.length)
-      payloads += own(p)
-    }
+    val payloads = buffer(rows, dims, keys, own)
     val n = payloads.length
     val dominated = new Array[Boolean](n)
     var i = 0
@@ -154,6 +169,19 @@ object SkylineAlgorithms {
       i += 1
     }
     kept.iterator.map(payloads)
+  }
+
+  /** The kernels that see every row at once: the key of the i-th row goes
+    * into slot i, and its owned payload to index i of the result.
+    */
+  private def buffer[P](rows: Iterator[P], dims: P => InternalRow, keys: KeyStore, own: P => P)
+      : ArrayBuffer[P] = {
+    val payloads = ArrayBuffer.empty[P]
+    rows.foreach { p =>
+      keys.write(dims(p), payloads.length)
+      payloads += own(p)
+    }
+    payloads
   }
 
   /** Group size at or below which [[pivotMerge]] runs BNL instead of
@@ -185,13 +213,7 @@ object SkylineAlgorithms {
       keys: KeyStore,
       distinct: Boolean,
       own: P => P): Iterator[P] = {
-    val payloads = ArrayBuffer.empty[P]
-    while (rows.hasNext) {
-      val p = rows.next()
-      keys.reserve(payloads.length + 1)
-      keys.write(dims(p), payloads.length)
-      payloads += own(p)
-    }
+    val payloads = buffer(rows, dims, keys, own)
     val merge = new PivotMerge(keys, distinct, payloads.length)
     val kept = merge.skyline(0, payloads.length)
     merge.slots.iterator.take(kept).map(payloads)
@@ -333,25 +355,12 @@ object SkylineAlgorithms {
       (groupMasks, starts)
     }
 
-    /** The [[Window]] of [[bnl]] over `slots(from until until)`, in place. */
+    /** The BNL of [[bnl]] over `slots(from until until)`, in place. */
     private def bnl(from: Int, until: Int): Int = {
       var n = 0
       var j = from
       while (j < until) {
-        val c = slots(j)
-        var m = n
-        var i = 0
-        var dropped = false
-        while (i < m && !dropped) {
-          val r = keys.relate(slots(from + i), c)
-          if (r == KeyStore.FirstDominates || (distinct && r == KeyStore.Equal)) dropped = true
-          else if (r == KeyStore.SecondDominates) {
-            m -= 1
-            slots(from + i) = slots(from + m)
-          } else i += 1
-        }
-        if (!dropped) { slots(from + m) = c; m += 1 }
-        n = m
+        n = bnlStep(keys, distinct, slots, from, n, j)
         j += 1
       }
       n

@@ -74,16 +74,10 @@ abstract class KeyStore(dirs: Array[Direction], incomplete: Boolean) {
   def dominates(a: Int, b: Int): Boolean = relate(a, b) == FirstDominates
 
   /** Write the key of `dims` (one field per dimension, in dimension order)
-    * into `slot`. The slot keeps no reference into `dims`, which may be a
-    * reused buffer.
+    * into `slot`, growing the store if `slot` is past its end. The slot
+    * keeps no reference into `dims`, which may be a reused buffer.
     */
   def write(dims: InternalRow, slot: Int): Unit
-
-  /** Copy the key of slot `from` into slot `to`. */
-  def move(from: Int, to: Int): Unit
-
-  /** Make slots `[0, slots)` addressable. */
-  def reserve(slots: Int): Unit
 }
 
 object KeyStore {
@@ -163,14 +157,12 @@ final class LongKeys(types: Array[DataType], dirs: Array[Direction], incomplete:
   private var keys = new Array[Long](arity * 16)
   private var masks = new Array[Long](16)
 
-  override def reserve(slots: Int): Unit =
-    if (slots > masks.length) {
-      val n = math.max(slots, masks.length * 2)
+  override def write(dims: InternalRow, slot: Int): Unit = {
+    if (slot >= masks.length) {
+      val n = math.max(slot + 1, masks.length * 2)
       keys = java.util.Arrays.copyOf(keys, n * arity)
       masks = java.util.Arrays.copyOf(masks, n)
     }
-
-  override def write(dims: InternalRow, slot: Int): Unit = {
     val base = slot * arity
     var mask = 0L
     var p = 0
@@ -190,11 +182,6 @@ final class LongKeys(types: Array[DataType], dirs: Array[Direction], incomplete:
       p += 1
     }
     masks(slot) = mask
-  }
-
-  override def move(from: Int, to: Int): Unit = {
-    System.arraycopy(keys, from * arity, keys, to * arity, arity)
-    masks(to) = masks(from)
   }
 
   override def nullMask(slot: Int): Long = masks(slot)
@@ -304,15 +291,13 @@ final class GenericKeys(types: Array[DataType], dirs: Array[Direction], incomple
   private var values = new Array[Array[Any]](16)
   private var masks = new Array[Long](16)
 
-  override def reserve(slots: Int): Unit =
-    if (slots > values.length) {
-      val n = math.max(slots, values.length * 2)
+  /** Each value is copied, so no slot aliases the buffer of `dims`. */
+  override def write(dims: InternalRow, slot: Int): Unit = {
+    if (slot >= masks.length) {
+      val n = math.max(slot + 1, masks.length * 2)
       values = java.util.Arrays.copyOf(values, n)
       masks = java.util.Arrays.copyOf(masks, n)
     }
-
-  /** Each value is copied, so no slot aliases the buffer of `dims`. */
-  override def write(dims: InternalRow, slot: Int): Unit = {
     val vs = new Array[Any](arity)
     var mask = 0L
     var p = 0
@@ -324,11 +309,6 @@ final class GenericKeys(types: Array[DataType], dirs: Array[Direction], incomple
     }
     values(slot) = vs
     masks(slot) = mask
-  }
-
-  override def move(from: Int, to: Int): Unit = {
-    values(to) = values(from)
-    masks(to) = masks(from)
   }
 
   override def nullMask(slot: Int): Long = masks(slot)

@@ -69,6 +69,11 @@ object SkylineClauseExtractor {
       if (from == until - 1) {
         throw new SkylineParseException(s"skyline dimension before '$dirText' has no expression")
       }
+      // the hint puts the dimension ahead of the query text, and a `?` binds by position
+      if ((from until until).exists(tokens(_).getType == SqlBaseLexer.QUESTION)) {
+        throw new SkylineParseException(s"skyline dimension '${text(from, until)}' " +
+          "takes no positional parameter (?): use a named one (:name)")
+      }
       s"'${dir.sql}', (${text(from, until - 1)})"
     }
 

@@ -3,7 +3,7 @@ package repro.core.parser
 import java.util.Locale
 import org.apache.spark.sql.catalyst.{FunctionIdentifier, TableIdentifier}
 import org.apache.spark.sql.catalyst.expressions.{Expression, Literal}
-import org.apache.spark.sql.catalyst.parser.ParserInterface
+import org.apache.spark.sql.catalyst.parser.{ParameterContext, ParserInterface}
 import org.apache.spark.sql.catalyst.plans.logical._
 import org.apache.spark.sql.types.{DataType, StructType}
 import repro.core.{Direction, SkylineDimension, SkylineOperator}
@@ -25,6 +25,10 @@ class SkylineSqlParser(delegate: ParserInterface) extends ParserInterface {
   override def parsePlan(sqlText: String): LogicalPlan = rewrite(sqlText, delegate.parsePlan)
 
   override def parseQuery(sqlText: String): LogicalPlan = rewrite(sqlText, delegate.parseQuery)
+
+  /** `SparkSession.sql(text, args)`: the delegate binds the parameters. */
+  override def parsePlanWithParameters(sqlText: String, params: ParameterContext): LogicalPlan =
+    rewrite(sqlText, delegate.parsePlanWithParameters(_, params))
 
   private def rewrite(sqlText: String, parse: String => LogicalPlan): LogicalPlan =
     if (!sqlText.toUpperCase(Locale.ROOT).contains("SKYLINE")) parse(sqlText)

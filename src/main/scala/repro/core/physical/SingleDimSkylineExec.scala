@@ -5,7 +5,7 @@ import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.Attribute
 import org.apache.spark.sql.catalyst.plans.physical.Partitioning
 import org.apache.spark.sql.execution.{SparkPlan, UnaryExecNode}
-import repro.core.{Direction, SkylineDimension, SkylineKeys}
+import repro.core.{Direction, SkylineAlgorithms, SkylineDimension, SkylineKeys}
 
 /** Optimized operator for single-dimension MIN/MAX skylines (§5.4).
   *
@@ -59,7 +59,6 @@ case class SingleDimSkylineExec(
       { (idx, iter) =>
         val dim = SkylineExec.projection(dims, childOutput, idx)
         val store = ks.newStore()
-        store.reserve(2)
         extreme.foreach(store.write(_, 0))
         iter.filter { row =>
           val d = dim(row)
@@ -75,24 +74,12 @@ case class SingleDimSkylineExec(
 }
 
 object SingleDimSkylineExec {
-  /** An owned copy of the best of the one-field rows `dims` by key position
-    * 0 of a store of `keys`, if there is a candidate; incomplete mode leaves
-    * the nulls out. Slot 0 holds the best so far, slot 1 the candidate.
+  /** An owned copy of the first best of the one-field rows `dims`, if there
+    * is a candidate; incomplete mode leaves the nulls out. A DISTINCT BNL
+    * window over one dimension holds at most one tuple.
     */
   private def best(dims: Iterator[InternalRow], keys: SkylineKeys, incomplete: Boolean)
-      : Option[InternalRow] = {
-    val store = keys.newStore()
-    store.reserve(2)
-    var best: Option[InternalRow] = None
-    dims.foreach { d =>
-      if (!(incomplete && d.isNullAt(0))) {
-        store.write(d, 1)
-        if (best.isEmpty || store.compareOn(0, 1, 0) < 0) {
-          store.move(1, 0)
-          best = Some(d.copy())
-        }
-      }
-    }
-    best
-  }
+      : Option[InternalRow] =
+    SkylineAlgorithms.bnl(dims.filterNot(incomplete && _.isNullAt(0)), identity[InternalRow],
+      keys.newStore(), distinct = true, (d: InternalRow) => d.copy()).iterator.nextOption()
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, SynthData}
 
 /** §5.9: the skyline integration must have no side effects on ordinary
@@ -75,6 +76,16 @@ class NoSideEffectsSpec extends SparkSpec {
   test("INSERT-style DDL/DML paths are unaffected (CREATE VIEW)") {
     spark.sql("CREATE OR REPLACE TEMP VIEW nse_v AS SELECT 41 + 1 AS a")
     assert(spark.sql("SELECT a FROM nse_v").collect().head.getInt(0) == 42)
+  }
+
+  test("parameterized queries bind their named and positional parameters") {
+    import spark.implicits._
+    Seq(1, 2, 3).toDF("a").createOrReplaceTempView("nse_p")
+    def ints(df: DataFrame): Seq[Int] = df.collect().map(_.getInt(0)).toSeq.sorted
+    assert(ints(spark.sql("SELECT a FROM nse_p WHERE a > :p", Map("p" -> 1))) == Seq(2, 3))
+    assert(ints(spark.sql("SELECT a FROM nse_p WHERE a > ? AND a < ?", Array(1, 3))) == Seq(2))
+    assert(ints(spark.sql("SELECT a FROM nse_p ORDER BY a LIMIT :n", Map("n" -> 2))) == Seq(1, 2))
+    assert(ints(spark.sql("SELECT a FROM IDENTIFIER(:t) WHERE a = 3", Map("t" -> "nse_p"))) == Seq(3))
   }
 
   test("queries containing the word skyline as identifier still parse") {

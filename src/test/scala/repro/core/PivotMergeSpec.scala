@@ -11,7 +11,7 @@ import scala.util.Random
 
 /** [[SkylineAlgorithms.pivotMerge]], the complete global step of a
   * distributed plan, against [[BruteForce]] on both key stores, and its
-  * dominance tests against those of BNL.
+  * dominance tests against those of BNL; the slots the BNL window writes.
   */
 class PivotMergeSpec extends AnyFunSuite {
 
@@ -160,29 +160,59 @@ class PivotMergeSpec extends AnyFunSuite {
     }
   }
 
-  /** A key store that counts its dominance tests. */
+  /** A key store that counts its dominance tests and records the highest
+    * slot written.
+    */
   private final class Counting(inner: KeyStore, dirs: Array[Direction])
       extends KeyStore(dirs, incomplete = false) {
     var tests = 0L
+    var highestSlot = -1
     override def relate(a: Int, b: Int): Int = { tests += 1; inner.relate(a, b) }
     override def dominates(a: Int, b: Int): Boolean = { tests += 1; inner.dominates(a, b) }
     override def nullMask(slot: Int): Long = inner.nullMask(slot)
     override def compareOn(p: Int, a: Int, b: Int): Int = inner.compareOn(p, a, b)
-    override def write(dims: InternalRow, slot: Int): Unit = inner.write(dims, slot)
-    override def move(from: Int, to: Int): Unit = inner.move(from, to)
-    override def reserve(slots: Int): Unit = inner.reserve(slots)
+    override def write(dims: InternalRow, slot: Int): Unit = {
+      highestSlot = math.max(highestSlot, slot)
+      inner.write(dims, slot)
+    }
+  }
+
+  /** The anti-correlated 4-D points of four partitions, and the union of
+    * their local skylines.
+    */
+  private def anticorrUnion(keys: SkylineKeys): Seq[Tuple] =
+    TestUtil.antiCorrelated(2500, 4, seed = 31)
+      .zipWithIndex.map { case (p, id) => (id, p.toArray[Any]) }
+      .grouped(625).flatMap(part =>
+        SkylineAlgorithms.bnl(part.iterator, row, keys.newStore(), distinct = false,
+          identity[Tuple]).iterator).toSeq
+
+  test("the BNL window reuses the slots of dropped and evicted tuples") {
+    val types = Array[DataType](DoubleType, DoubleType, DoubleType, DoubleType)
+    val dirs = Array.fill[Direction](4)(Min)
+    val keys = new SkylineKeys(types, dirs, incomplete = false)
+    // each tuple dominates all before it, so each one evicts the whole window
+    val improving = Seq.tabulate(10000)(i => (i, Array.fill[Any](4)(10000.0 - i)))
+    for ((name, input) <- Seq("improving" -> improving, "anticorr union" -> anticorrUnion(keys));
+         store <- Seq(keys.newStore(), new GenericKeys(types, dirs, incomplete = false))) {
+      val counting = new Counting(store, dirs)
+      val window = new SkylineAlgorithms.Window[Tuple](counting, distinct = false, identity)
+      var peak = 0
+      input.foreach { t =>
+        window.offer(t, row(t))
+        peak = math.max(peak, window.iterator.size)
+      }
+      // slots 0 to peak: the largest window and one candidate
+      assert(counting.highestSlot <= peak,
+        s"$name ${store.getClass.getSimpleName}: slot ${counting.highestSlot} written, peak window $peak")
+    }
   }
 
   test("on the anti-correlated 4-D union the merge makes at most half of BNL's dominance tests") {
     val types = Array[DataType](DoubleType, DoubleType, DoubleType, DoubleType)
     val dirs = Array.fill[Direction](4)(Min)
     val keys = new SkylineKeys(types, dirs, incomplete = false)
-    val points = TestUtil.antiCorrelated(2500, 4, seed = 31)
-      .zipWithIndex.map { case (p, id) => (id, p.toArray[Any]) }
-    // the local steps of four partitions, then their union
-    val union = points.grouped(625).flatMap(part =>
-      SkylineAlgorithms.bnl(part.iterator, row, keys.newStore(), distinct = false,
-        identity[Tuple]).iterator).toSeq
+    val union = anticorrUnion(keys)
     // in arrival order, and sorted by one dimension: a median that is not
     // the median (say, the first slot) splits the sorted union badly
     for ((order, input) <- Seq("arrival" -> union, "sorted" -> union.sortBy(_._2(0).asInstanceOf[Double]))) {

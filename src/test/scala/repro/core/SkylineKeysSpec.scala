@@ -124,10 +124,7 @@ class SkylineKeysSpec extends AnyFunSuite {
       val data = tuples(rnd, gs, 30, anti = rnd.nextBoolean(), nullFrac = 0.2)
       val long = encoded(types, dirs, incomplete).newStore()
       val generic = new GenericKeys(types.toArray, dirs.toArray, incomplete)
-      for (s <- Seq(long, generic)) {
-        s.reserve(data.size)
-        data.foreach(t => s.write(row(t), t._1))
-      }
+      for (s <- Seq(long, generic)) data.foreach(t => s.write(row(t), t._1))
       for (a <- data; b <- data) {
         val expected =
           if (checker.dominates(a._2, b._2)) KeyStore.FirstDominates
@@ -274,7 +271,6 @@ class SkylineKeysSpec extends AnyFunSuite {
     val store = keys.newStore()
     val bytes = "bbb".getBytes("UTF-8")
     val buffer = new GenericInternalRow(Array[Any](null))
-    store.reserve(2)
     // write through a non-generic row view so the store has to copy
     val view = new org.apache.spark.sql.catalyst.expressions.JoinedRow(buffer, InternalRow.empty)
     buffer.update(0, UTF8String.fromBytes(bytes))
@@ -289,7 +285,6 @@ class SkylineKeysSpec extends AnyFunSuite {
     val keys = new SkylineKeys(Array(IntegerType, StringType), Array(Min, Min), incomplete = false)
     val store = keys.newStore()
     val buffer = new GenericInternalRow(2)
-    store.reserve(2)
     buffer.update(0, 2)
     buffer.update(1, UTF8String.fromString("b"))
     store.write(buffer, 0)

@@ -1,6 +1,7 @@
 package repro.core.parser
 
 import java.util.Locale
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.logical.{GlobalLimit, LogicalPlan, Sort}
 import repro.SparkSpec
 import repro.core.{Direction, SkylineOperator}
@@ -180,5 +181,21 @@ class SkylineSqlParserSpec extends SparkSpec {
     val rows = spark.sql("SELECT * EXCEPT (c) FROM star_t SKYLINE OF a MIN, b MIN").collect()
     assert(rows.map(r => (r.getInt(0), r.getInt(1))).toSet == Set((2, 1), (1, 2)))
     assert(rows.head.length == 2)
+  }
+
+  test("parameters bind in WHERE and in a dimension; a positional one in a dimension is rejected") {
+    import spark.implicits._
+    Seq((2, 1), (1, 2), (3, 3), (0, 9)).toDF("a", "b").createOrReplaceTempView("param_t")
+    def pairs(df: DataFrame): Set[(Int, Int)] = df.collect().map(r => (r.getInt(0), r.getInt(1))).toSet
+    // b * -1 MIN is b MAX: {(2, 1), (1, 2)} if :w were 1, (0, 9) if :lo were unbound
+    assert(pairs(spark.sql("SELECT a, b FROM param_t WHERE a > :lo SKYLINE OF a MIN, b * :w MIN",
+      Map("lo" -> 0, "w" -> -1))) == Set((1, 2), (3, 3)))
+    assert(pairs(spark.sql("SELECT a, b FROM param_t WHERE a > ? SKYLINE OF a MIN, b MAX",
+      Array(0))) == Set((1, 2), (3, 3)))
+    // the dimension moves ahead of the WHERE clause, where `?` would take the WHERE's argument
+    val err = intercept[SkylineParseException] {
+      spark.sql("SELECT a, b FROM param_t WHERE a > ? SKYLINE OF a MIN, b * ? MIN", Array(0, -1))
+    }
+    assert(err.getMessage.contains("positional parameter"), err.getMessage)
   }
 }
