@@ -134,7 +134,8 @@ object SkylineAlgorithms {
     * that a dominated tuple can still eliminate the tuples it dominates —
     * the fix for the cyclic-dominance bug illustrated in Appendix A. A pair
     * whose tuples are both flagged already can change nothing and is
-    * skipped.
+    * skipped. Under DISTINCT an exact tie flags the later tuple, which
+    * still eliminates every tuple its twin does.
     */
   def allPairsDeferred[P](
       rows: Iterator[P],
@@ -151,24 +152,17 @@ object SkylineAlgorithms {
       while (j < n) {
         if (!(dominated(i) && dominated(j))) {
           keys.relate(i, j) match {
-            case KeyStore.FirstDominates  => dominated(j) = true
-            case KeyStore.SecondDominates => dominated(i) = true
-            case _                        =>
+            case KeyStore.FirstDominates    => dominated(j) = true
+            case KeyStore.SecondDominates   => dominated(i) = true
+            case KeyStore.Equal if distinct => dominated(j) = true
+            case _                          =>
           }
         }
         j += 1
       }
       i += 1
     }
-    val kept = ArrayBuffer.empty[Int]
-    i = 0
-    while (i < n) {
-      if (!dominated(i) &&
-          (!distinct || !kept.exists(k => keys.relate(k, i) == KeyStore.Equal)))
-        kept += i
-      i += 1
-    }
-    kept.iterator.map(payloads)
+    (0 until n).iterator.filterNot(dominated(_)).map(payloads)
   }
 
   /** The kernels that see every row at once: the key of the i-th row goes

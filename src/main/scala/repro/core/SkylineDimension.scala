@@ -1,7 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.analysis.TypeCheckResult
 import org.apache.spark.sql.catalyst.expressions.{Expression, UnaryExpression, Unevaluable}
 import org.apache.spark.sql.catalyst.trees.TreeNodeTag
+import org.apache.spark.sql.catalyst.util.TypeUtils
 import org.apache.spark.sql.types.DataType
 
 /** A single skyline dimension: an arbitrary expression over the child
@@ -20,6 +22,10 @@ case class SkylineDimension(child: Expression, direction: Direction)
   override def dataType: DataType = child.dataType
 
   override def nullable: Boolean = child.nullable
+
+  /** A type ORDER BY rejects fails analysis here too. */
+  override def checkInputDataTypes(): TypeCheckResult =
+    TypeUtils.checkForOrderingExpr(child.dataType, prettyName)
 
   override def sql: String = s"${child.sql} ${direction.sql}"
 

@@ -6,6 +6,7 @@ import org.apache.spark.sql.catalyst.expressions.{Expression, Literal}
 import org.apache.spark.sql.catalyst.parser.{ParameterContext, ParserInterface}
 import org.apache.spark.sql.catalyst.plans.logical._
 import org.apache.spark.sql.types.{DataType, StructType}
+import org.apache.spark.unsafe.types.UTF8String
 import repro.core.{Direction, SkylineDimension, SkylineOperator}
 
 /** Spark SQL parser with skyline support (§5.1).
@@ -44,14 +45,22 @@ class SkylineSqlParser(delegate: ParserInterface) extends ParserInterface {
         w.copy(cteRelations = w.cteRelations.map { case (name, body, depth) =>
           (name, body.copy(child = toSkyline(body.child)), depth)
         })
-      case UnresolvedHint(SkylineClauseExtractor.HintName,
-          Literal(distinct: Boolean, _) +: Literal(complete: Boolean, _) +: dims, child) =>
-        val dimensions = dims.grouped(2).map { case Seq(Literal(dir, _), e) =>
-          val dim = SkylineDimension(e, Direction.fromString(dir.toString).get)
-          dim.setTagValue(SkylineDimension.Parsed, e)
-          dim
+      case UnresolvedHint(SkylineClauseExtractor.HintName, params, child) =>
+        // a hint written by hand may be malformed
+        def malformed = new SkylineParseException(s"malformed ${SkylineClauseExtractor.HintName}" +
+          s"(${params.mkString(", ")}): expected (distinct, complete, 'MIN'|'MAX'|'DIFF', (expr), …)")
+        params match {
+          case Literal(distinct: Boolean, _) +: Literal(complete: Boolean, _) +: dims if dims.nonEmpty =>
+            val dimensions = dims.grouped(2).map {
+              case Seq(Literal(dir: UTF8String, _), e) =>
+                val dim = SkylineDimension(e, Direction.fromString(dir.toString).getOrElse(throw malformed))
+                dim.setTagValue(SkylineDimension.Parsed, e)
+                dim
+              case _ => throw malformed
+            }
+            SkylineOperator(distinct, complete, dimensions.toSeq, child)
+          case _ => throw malformed
         }
-        SkylineOperator(distinct, complete, dimensions.toSeq, child)
     }
   }
 

@@ -13,16 +13,11 @@ import repro.core.{Direction, SkylineAlgorithms, SkylineDimension, SkylineKeys}
   * dominance testing the paper rewrites to "find the extreme value in a
   * scalar subquery, then select the tuples attaining it" — O(n) versus
   * O(n log n) for sort-and-take. Physically that is two passes over the
-  * child: a distributed extreme aggregation (per-partition extreme, reduced
-  * on the driver — the scalar subquery), then a distributed filter.
-  *
-  * Both passes read the dimension through [[SkylineExec.projection]] and
-  * order it by a one-dimension key store (`keys=long[1]` or `keys=generic`
-  * in EXPLAIN), with the null rule of the BNL nodes: in incomplete mode a
-  * null is incomparable to everything (no mutually non-null dimension
-  * exists), hence vacuously in the skyline, and the extreme is taken over
-  * non-null values only; in complete mode nulls sort first in the
-  * dimension's own order.
+  * child, each reading the dimension through [[SkylineExec.projection]]
+  * into a one-dimension key store (`keys=long[1]` or `keys=generic` in
+  * EXPLAIN): the DISTINCT skyline of the dimension values, per partition
+  * and then on the driver (the scalar subquery), and then the rows it does
+  * not dominate.
   */
 case class SingleDimSkylineExec(
     dimension: SkylineDimension,
@@ -43,27 +38,23 @@ case class SingleDimSkylineExec(
     s"${super.simpleString(maxFields)}, keys=$keys"
 
   override protected def doExecute(): RDD[InternalRow] = {
-    val (dims, childOutput, ks, incompleteMode) = (Seq(dimension), child.output, keys, incomplete)
+    val (dims, childOutput, ks) = (Seq(dimension), child.output, keys)
     val childRdd = child.execute()
-    // Pass 1 — the "scalar subquery": each partition's extreme, then the
-    // extreme of those on the driver.
-    val extreme = SingleDimSkylineExec.best(
-      childRdd.mapPartitionsWithIndex { (idx, iter) =>
-        SingleDimSkylineExec.best(
-          iter.map(SkylineExec.projection(dims, childOutput, idx)), ks, incompleteMode).iterator
-      }.collect().iterator,
-      ks, incompleteMode)
-    // Pass 2 — select the tuples attaining the extreme (plus, in incomplete
-    // mode, the incomparable null-dimension tuples).
+    // pass 1, the scalar subquery: the DISTINCT skyline of the dimension values
+    val best = SingleDimSkylineExec.skyline(childRdd.mapPartitionsWithIndex { (idx, iter) =>
+      SingleDimSkylineExec.skyline(iter.map(SkylineExec.projection(dims, childOutput, idx)), ks)
+    }.collect().iterator, ks).toArray
+    // pass 2: the rows that no tuple of it dominates
     childRdd.mapPartitionsWithIndex(
       { (idx, iter) =>
         val dim = SkylineExec.projection(dims, childOutput, idx)
         val store = ks.newStore()
-        extreme.foreach(store.write(_, 0))
+        val slots = best.indices
+        slots.foreach(i => store.write(best(i), i))
+        val candidate = best.length
         iter.filter { row =>
-          val d = dim(row)
-          (incompleteMode && d.isNullAt(0)) ||
-            extreme.isDefined && { store.write(d, 1); store.compareOn(0, 1, 0) == 0 }
+          store.write(dim(row), candidate)
+          !slots.exists(store.dominates(_, candidate))
         }
       },
       preservesPartitioning = true)
@@ -74,12 +65,8 @@ case class SingleDimSkylineExec(
 }
 
 object SingleDimSkylineExec {
-  /** An owned copy of the first best of the one-field rows `dims`, if there
-    * is a candidate; incomplete mode leaves the nulls out. A DISTINCT BNL
-    * window over one dimension holds at most one tuple.
-    */
-  private def best(dims: Iterator[InternalRow], keys: SkylineKeys, incomplete: Boolean)
-      : Option[InternalRow] =
-    SkylineAlgorithms.bnl(dims.filterNot(incomplete && _.isNullAt(0)), identity[InternalRow],
-      keys.newStore(), distinct = true, (d: InternalRow) => d.copy()).iterator.nextOption()
+  /** Owned copies of the DISTINCT skyline of the one-field rows `dims`. */
+  private def skyline(dims: Iterator[InternalRow], keys: SkylineKeys): Iterator[InternalRow] =
+    SkylineAlgorithms.bnl(dims, identity[InternalRow], keys.newStore(), distinct = true,
+      (d: InternalRow) => d.copy()).iterator
 }

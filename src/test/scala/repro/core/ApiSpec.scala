@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.AnalysisException
 import repro.SparkSpec
 import repro.core.api._
 import repro.data.SkylineData
@@ -97,6 +98,20 @@ class ApiSpec extends SparkSpec {
     val out = agg.skyline(smin("min_price"), smax("rating"))
     assert(out.columns.toSeq == Seq("rating"))
     assert(out.collect().map(_.getInt(0)).toSet == Set(8, 9))
+  }
+
+  test("a dimension of a type ORDER BY rejects fails at analysis") {
+    import org.apache.spark.sql.functions._
+    val df = hotels.select(col("id"), map(col("id"), col("price")).as("m"),
+      parse_json(col("rating").cast("string")).as("v"))
+    Seq(
+      () => df.skyline(smin("m")),
+      () => df.skyline(smin("id"), smax("v")),
+      () => df.skylineDistinctComplete(sdiff("m"), smin("id")),
+    ).foreach { skyline =>
+      val e = intercept[AnalysisException](skyline())
+      assert(e.getCondition == "DATATYPE_MISMATCH.INVALID_ORDERING_TYPE", e.getMessage)
+    }
   }
 
   test("works on a larger generated dataset") {

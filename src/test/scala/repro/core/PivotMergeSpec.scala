@@ -28,6 +28,7 @@ class PivotMergeSpec extends AnyFunSuite {
     case DoubleType  => x * 2 - 1
     case StringType  => UTF8String.fromString(f"${(x * 1000).round}%04d")
     case _: DecimalType => Decimal(BigDecimal(x * 100).setScale(2, BigDecimal.RoundingMode.HALF_UP), 10, 2)
+    case other       => fail(s"no test values for $other")
   }
 
   private val doubleEdges = Seq(Double.NaN, -0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)

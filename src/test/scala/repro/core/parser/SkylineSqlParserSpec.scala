@@ -198,4 +198,17 @@ class SkylineSqlParserSpec extends SparkSpec {
     }
     assert(err.getMessage.contains("positional parameter"), err.getMessage)
   }
+
+  test("a malformed SKYLINE_OF hint names the expected form") {
+    val form = "(distinct, complete, 'MIN'|'MAX'|'DIFF', (expr), …)"
+    Seq(
+      "SELECT /*+ SKYLINE_OF(true, false, a) */ * FROM t", // a dimension without direction
+      "SELECT /*+ SKYLINE_OF(true, false, 'FOO', (a)) */ * FROM t", // an unknown direction
+      "SELECT /*+ SKYLINE_OF(true, false) */ * FROM t", // no dimension
+      "SELECT /*+ SKYLINE_OF('MIN', (a)) */ * FROM t", // no flags
+    ).foreach { sql =>
+      val e = intercept[SkylineParseException](parse(sql))
+      assert(e.getMessage.contains(form), s"$sql: ${e.getMessage}")
+    }
+  }
 }

@@ -1,6 +1,6 @@
 package repro.core.rules
 
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{AnalysisException, Row}
 import org.apache.spark.sql.catalyst.expressions.aggregate.AggregateExpression
 import org.apache.spark.sql.catalyst.plans.logical.Aggregate
 import repro.SparkSpec
@@ -137,6 +137,21 @@ class ResolveSkylineSpec extends SparkSpec {
         spark.sql("SELECT id FROM rs_hotels SKYLINE OF does_not_exist MIN").collect()
       }
       assert(e.getMessage.toLowerCase.contains("does_not_exist"))
+    }
+  }
+
+  test("a dimension of a type ORDER BY rejects fails at analysis, as ORDER BY does") {
+    spark.sql("SELECT id, map(1, id) AS m, parse_json(CAST(id AS STRING)) AS v FROM range(3)")
+      .createOrReplaceTempView("rs_unordered")
+    Seq(
+      "SELECT * FROM rs_unordered ORDER BY m",
+      "SELECT * FROM rs_unordered ORDER BY v",
+      "SELECT * FROM rs_unordered SKYLINE OF m MIN",
+      "SELECT * FROM rs_unordered SKYLINE OF id MIN, v MAX",
+      "SELECT id FROM rs_unordered SKYLINE OF DISTINCT COMPLETE m DIFF, id MIN",
+    ).foreach { sql =>
+      val e = intercept[AnalysisException](spark.sql(sql))
+      assert(e.getCondition == "DATATYPE_MISMATCH.INVALID_ORDERING_TYPE", s"$sql: ${e.getMessage}")
     }
   }
 
